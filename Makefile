@@ -5,10 +5,11 @@ GO ?= go
 
 .PHONY: lint lint-json docs build test race bench
 
-# lint is the one gate for static checks: go vet plus the repository's
-# own determinism & concurrency suite (cmd/sdamvet, 9 rules — see
-# `go run ./cmd/sdamvet -list`).
+# lint is the one gate for static checks: gofmt over the tracked Go
+# files, go vet, and the repository's own determinism & concurrency
+# suite (cmd/sdamvet, 9 rules — see `go run ./cmd/sdamvet -list`).
 lint:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) run ./cmd/sdamvet ./...
 

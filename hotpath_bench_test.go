@@ -27,7 +27,6 @@ type hotPathRig struct {
 	engine *cpu.Engine
 	work   workload.Workload
 	layout tape.Layout
-	as     *vm.AddressSpace
 }
 
 // newHotPathRig boots an SDAM-controller machine (CMT + AMU datapath,
@@ -40,7 +39,7 @@ func newHotPathRig(tb testing.TB, eng cpu.Config) *hotPathRig {
 	k := vm.NewKernel(g.Chunks())
 	as := k.NewAddressSpace()
 	w := workload.NewStrideCopy([]int{1, 4, 64, 1024}, 20_000, 8<<20)
-	rig := &hotPathRig{work: w, as: as}
+	rig := &hotPathRig{work: w}
 	if err := w.Setup(&workload.Env{AS: as, Heap: heap.New(as), OnAlloc: rig.layout.Note}); err != nil {
 		tb.Fatal(err)
 	}
@@ -114,25 +113,4 @@ func BenchmarkHotPathTapeReplayAccel(b *testing.B) {
 		}
 		return ss
 	})
-}
-
-// BenchmarkHotPathSealedReplayAccel measures the sealed fast path: the
-// tape carries pre-translated physical lines for an already-populated
-// address space, so the engine also skips vm.TranslateLine — the floor
-// of the per-reference loop (MSHR + device timing only).
-func BenchmarkHotPathSealedReplayAccel(b *testing.B) {
-	rig := newHotPathRig(b, cpu.AcceleratorConfig(4))
-	t := tape.Record(rig.work.Streams(7), rig.layout)
-	ss, err := t.Streams(&rig.layout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := rig.engine.Run(ss); err != nil { // populate the space
-		b.Fatal(err)
-	}
-	sealed, err := t.Seal(&rig.layout, rig.as)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runTapeReplay(b, rig, sealed.Streams)
 }

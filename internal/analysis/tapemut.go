@@ -8,21 +8,21 @@ import (
 	"strings"
 )
 
-// tapeMut implements sdamvet/tapemut: the PR-5 read-only sharing
-// contract for reference tapes. tape.Tape and tape.Sealed hold the
-// flat recorded columns (va/pc/write-bitset/slot + stream starts) that
-// every sweep cell replays concurrently through the tape cache — one
-// writer anywhere and the bit-identity guarantee (and the race
-// detector) goes with it. Once Record returns, a tape is immutable;
-// only internal/tape itself may store through one.
+// tapeMut implements sdamvet/tapemut: the read-only sharing contract
+// for reference tapes. tape.Tape holds the flat recorded columns
+// (va/pc/write-bitset/slot + stream starts) that every sweep cell
+// replays concurrently through the tape cache — one writer anywhere
+// and the bit-identity guarantee (and the race detector) goes with it.
+// Once Record returns, a tape is immutable; only internal/tape itself
+// may store through one.
 //
 // The analyzer flags, outside internal/tape, any assignment whose
-// lvalue reaches through a Tape or Sealed value: *t = tape.Tape{}
-// whole-value overwrites, stores into fields or columns reached via a
-// tape (the columns are unexported, so a same-module offender would be
-// in a future tape helper or a reflect-free unsafe trick routed through
-// an embedded value), and taking a tape's address only to assign
-// through it. Reads are unrestricted — sharing them is the point.
+// lvalue reaches through a Tape value: *t = tape.Tape{} whole-value
+// overwrites, stores into fields or columns reached via a tape (the
+// columns are unexported, so a same-module offender would be in a
+// future tape helper or a reflect-free unsafe trick routed through an
+// embedded value), and taking a tape's address only to assign through
+// it. Reads are unrestricted — sharing them is the point.
 type tapeMut struct {
 	diags []Diagnostic
 }
@@ -32,7 +32,7 @@ func newTapeMut() *tapeMut { return &tapeMut{} }
 func (t *tapeMut) Rule() string { return "tapemut" }
 
 func (t *tapeMut) Doc() string {
-	return "store through a tape.Tape/tape.Sealed value outside internal/tape; sealed tapes are shared read-only across sweep cells"
+	return "store through a tape.Tape value outside internal/tape; recorded tapes are shared read-only across sweep cells"
 }
 
 func (t *tapeMut) Diagnostics() []Diagnostic { return t.diags }
@@ -72,7 +72,7 @@ func (t *tapeMut) checkLvalue(pkg *Package, lhs ast.Expr, tapeTypes []types.Type
 	t.diags = append(t.diags, Diagnostic{
 		Pos:     pkg.Fset.Position(lhs.Pos()),
 		Rule:    "tapemut",
-		Message: fmt.Sprintf("store through %s outside internal/tape; sealed tapes are shared read-only across sweep cells — record a new tape instead of mutating one", name),
+		Message: fmt.Sprintf("store through %s outside internal/tape; recorded tapes are shared read-only across sweep cells — record a new tape instead of mutating one", name),
 	})
 }
 
@@ -140,21 +140,18 @@ func isTapeType(typ types.Type, tapeTypes []types.Type, allowPointer bool) (stri
 	return "", false
 }
 
-// tapeNamedTypes resolves tape.Tape and tape.Sealed from the analyzed
+// tapeNamedTypes resolves tape.Tape from the analyzed
 // package's imports; a package that does not import tape has nothing
 // tape-typed to mutate.
 func tapeNamedTypes(pkg *Package) []types.Type {
-	var out []types.Type
 	for _, imp := range pkg.Types.Imports() {
 		if !strings.HasSuffix(imp.Path(), "internal/tape") {
 			continue
 		}
-		for _, name := range []string{"Tape", "Sealed"} {
-			if obj, ok := imp.Scope().Lookup(name).(*types.TypeName); ok {
-				out = append(out, obj.Type())
-			}
+		if obj, ok := imp.Scope().Lookup("Tape").(*types.TypeName); ok {
+			return []types.Type{obj.Type()}
 		}
 		break
 	}
-	return out
+	return nil
 }

@@ -8,18 +8,12 @@ import "repro/internal/tape"
 type holder struct {
 	tp tape.Tape
 	pt *tape.Tape
-	sl *tape.Sealed
 }
 
 // Whole-value overwrite through a shared tape pointer: every cell
 // replaying it sees the columns change under them.
 func overwrite(t *tape.Tape) {
 	*t = tape.Tape{} // want "store through tape.Tape"
-}
-
-// Sealed tapes are just as shared and just as read-only.
-func overwriteSealed(s *tape.Sealed) {
-	*s = tape.Sealed{} // want "store through tape.Sealed"
 }
 
 // Overwriting a tape element in a shared slice mutates the tape value
@@ -35,9 +29,8 @@ func fieldOverwrite(h *holder) {
 
 // Negative: storing tape *pointers* rebinds a reference, it does not
 // touch the tape.
-func rebind(h *holder, t *tape.Tape, s *tape.Sealed) {
+func rebind(h *holder, t *tape.Tape) {
 	h.pt = t
-	h.sl = s
 	var p *tape.Tape
 	p = t
 	_ = p

@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/trace"
@@ -15,6 +16,16 @@ func newEnv(t *testing.T) *workload.Env {
 	k := vm.NewKernel(geom.Default().Chunks())
 	as := k.NewAddressSpace()
 	return &workload.Env{AS: as, Heap: heap.New(as), Collector: trace.NewCollector(0)}
+}
+
+// refsOf drains s in engine-sized batches.
+func refsOf(s cpu.Stream) []cpu.Ref {
+	var out []cpu.Ref
+	var buf [64]cpu.Ref
+	for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+		out = append(out, buf[:n]...)
+	}
+	return out
 }
 
 // all returns every kernel at small scale.
@@ -30,11 +41,7 @@ func drain(t *testing.T, env *workload.Env, w workload.Workload, seed int64) int
 	t.Helper()
 	n := 0
 	for _, s := range w.Streams(seed) {
-		for {
-			ref, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, ref := range refsOf(s) {
 			if env.AS.FindVMA(ref.VA) == nil {
 				t.Fatalf("%s: reference %#x outside allocations", w.Name(), uint64(ref.VA))
 			}
@@ -76,11 +83,7 @@ func TestKernelsAreDeterministic(t *testing.T) {
 			}
 			var vas []vm.VA
 			for _, s := range w.Streams(42) {
-				for {
-					ref, ok := s.Next()
-					if !ok {
-						break
-					}
+				for _, ref := range refsOf(s) {
 					vas = append(vas, ref.VA)
 				}
 			}
@@ -192,11 +195,7 @@ func TestMixedPatternsAcrossVariables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range w.Streams(5) {
-		for {
-			ref, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, ref := range refsOf(s) {
 			line, err := env.AS.TranslateLine(ref.VA)
 			if err != nil {
 				t.Fatal(err)
@@ -256,11 +255,7 @@ func TestTransposeReadsAreColumnStrided(t *testing.T) {
 	var reads, writes int
 	var prevRead vm.VA
 	strideHits := 0
-	for {
-		ref, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, ref := range refsOf(s) {
 		if ref.Write {
 			writes++
 			continue

@@ -23,37 +23,17 @@ import (
 	"repro/internal/vm"
 )
 
-// Stream produces one thread's virtual-address reference stream.
+// Stream produces one thread's virtual-address reference stream in
+// batches: NextBatch fills buf from the front and returns how many
+// references it produced. It may return fewer than len(buf) at any
+// time; 0 means the stream is exhausted.
 type Stream interface {
-	// Next returns the next reference. ok=false ends the stream.
-	Next() (ref Ref, ok bool)
-}
-
-// BatchStream is an optional Stream extension the engine uses to
-// amortize interface dispatch: NextBatch fills buf from the front and
-// returns how many references were produced. It may return fewer than
-// len(buf) at any time; 0 means the stream is exhausted. The emitted
-// sequence must be identical to what repeated Next calls would yield.
-type BatchStream interface {
-	Stream
 	NextBatch(buf []Ref) int
 }
 
-// LineBatchStream is an optional BatchStream extension for replay
-// streams that already know each reference's physical line address —
-// sealed reference tapes (internal/tape), whose VAs were pre-translated
-// against an already-populated address space. NextBatchLines fills refs
-// and lines in lockstep and returns the count; the engine then skips
-// vm.TranslateLine for those references entirely. The contract extends
-// BatchStream's: the ref sequence must match what Next would yield, and
-// lines[i] must equal the owner address space's translation of
-// refs[i].VA at issue time (which is why sealing requires a populated
-// space: a pending demand fault would make that translation
-// time-dependent).
-type LineBatchStream interface {
-	BatchStream
-	NextBatchLines(refs []Ref, lines []geom.LineAddr) int
-}
+// BatchStream is an alias of Stream, kept because the separate
+// benchmark module (perfbench) asserts it.
+type BatchStream = Stream
 
 // batchSize is the engine's per-core refill granularity: one interface
 // call per this many references on the hot path.
@@ -75,17 +55,7 @@ type Ref struct {
 	Write bool
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next() (Ref, bool) {
-	if s.pos >= len(s.Refs) {
-		return Ref{}, false
-	}
-	r := s.Refs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// NextBatch implements BatchStream.
+// NextBatch implements Stream.
 func (s *SliceStream) NextBatch(buf []Ref) int {
 	n := copy(buf, s.Refs[s.pos:])
 	s.pos += n
@@ -322,10 +292,8 @@ func (m *mshrRing) evictMin() float64 {
 // boundStream is a stream with its owner address space resolved once at
 // setup, so the per-reference path never consults an ownership map.
 type boundStream struct {
-	src       Stream
-	batch     BatchStream     // src, when it implements BatchStream
-	lineBatch LineBatchStream // src, when it carries pre-translated lines
-	as        *vm.AddressSpace
+	src Stream
+	as  *vm.AddressSpace
 }
 
 // coreState tracks one core's simulated progress.
@@ -335,12 +303,10 @@ type coreState struct {
 	streamIdx  int
 	bufPos     int     // next unread index in buf
 	bufLen     int     // filled prefix of buf
-	bufLines   bool    // lineBuf holds translations for the current buf
 	nextReady  float64 // earliest next issue
 	lastFinish float64
 	mshr       mshrRing
-	buf        [batchSize]Ref           // refill buffer for the current stream
-	lineBuf    [batchSize]geom.LineAddr // pre-translated lines (tape fast path)
+	buf        [batchSize]Ref // refill buffer for the current stream
 }
 
 // coreHeap orders cores by next ready time for lockstep interleaving.
@@ -454,14 +420,7 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 			as = e.as
 		}
 		for _, s := range p.Streams {
-			bs := boundStream{src: s, as: as}
-			if b, ok := s.(BatchStream); ok {
-				bs.batch = b
-			}
-			if lb, ok := s.(LineBatchStream); ok {
-				bs.lineBatch = lb
-			}
-			bound = append(bound, bs)
+			bound = append(bound, boundStream{src: s, as: as})
 			known := false
 			for _, seen := range spaces {
 				if seen == as {
@@ -507,26 +466,10 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 				ref = c.buf[c.bufPos]
 				c.bufPos++
 			} else {
-				b := &c.streams[c.streamIdx]
-				got := false
-				if b.lineBatch != nil {
-					if n := b.lineBatch.NextBatchLines(c.buf[:], c.lineBuf[:]); n > 0 {
-						ref = c.buf[0]
-						c.bufPos, c.bufLen, c.bufLines = 1, n, true
-						got = true
-					}
-				} else if b.batch != nil {
-					if n := b.batch.NextBatch(c.buf[:]); n > 0 {
-						ref = c.buf[0]
-						c.bufPos, c.bufLen, c.bufLines = 1, n, false
-						got = true
-					}
-				} else if r, ok := b.src.Next(); ok {
-					ref = r
-					c.bufLines = false
-					got = true
-				}
-				if !got {
+				if n := c.streams[c.streamIdx].src.NextBatch(c.buf[:]); n > 0 {
+					ref = c.buf[0]
+					c.bufPos, c.bufLen = 1, n
+				} else {
 					c.streamIdx++
 					if c.streamIdx >= len(c.streams) {
 						// Core retired: it leaves the heap for good.
@@ -545,16 +488,9 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 				}
 			}
 			res.References++
-			var line geom.LineAddr
-			if c.bufLines {
-				// Tape fast path: the stream supplied the translation.
-				line = c.lineBuf[c.bufPos-1]
-			} else {
-				var err error
-				line, err = c.streams[c.streamIdx].as.TranslateLine(ref.VA)
-				if err != nil {
-					return res, fmt.Errorf("cpu: core %d: %w", c.id, err)
-				}
+			line, err := c.streams[c.streamIdx].as.TranslateLine(ref.VA)
+			if err != nil {
+				return res, fmt.Errorf("cpu: core %d: %w", c.id, err)
 			}
 			issue := c.nextReady
 			hit, wbVictim, wb := e.lookupCaches(c.id, line, ref.Write)

@@ -207,6 +207,71 @@ func TestFaultAccounting(t *testing.T) {
 	}
 }
 
+// cappedStream returns at most k references per NextBatch call, the
+// short counts the Stream contract allows at any time.
+type cappedStream struct {
+	Stream
+	k int
+}
+
+func (s cappedStream) NextBatch(buf []Ref) int {
+	return s.Stream.NextBatch(buf[:min(len(buf), s.k)])
+}
+
+// TestShortBatchesMatchFullBatches pins the engine's only refill path
+// against short batches: capping every NextBatch at k references must
+// not change any result, on either engine, with several streams per
+// core so refills straddle stream boundaries (one stream is empty).
+func TestShortBatchesMatchFullBatches(t *testing.T) {
+	streams := func(va vm.VA) []*SliceStream {
+		out := make([]*SliceStream, 10)
+		for i := range out {
+			s := &SliceStream{}
+			n := 37 * i // stream 0 is empty; the others end mid-batch
+			for j := 0; j < n; j++ {
+				line := (j * (2*i + 1)) % 64 // revisits lines, so the L1 hits
+				s.Refs = append(s.Refs, Ref{
+					VA:    va + vm.VA(i<<20+line*geom.LineBytes),
+					PC:    uint64(i),
+					Write: j%5 == 0,
+				})
+			}
+			out[i] = s
+		}
+		return out
+	}
+	run := func(cfg Config, k int) Result {
+		ctrl, as, va := rig(t, nil)
+		var ss []Stream
+		for _, s := range streams(va) {
+			if k > 0 {
+				ss = append(ss, cappedStream{s, k})
+			} else {
+				ss = append(ss, s)
+			}
+		}
+		res, err := New(cfg, ctrl, as).Run(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, cfg := range []Config{CPUConfig(4), AcceleratorConfig(4)} {
+		want := run(cfg, 0)
+		if want.References != 37*45 || want.External == 0 {
+			t.Fatalf("%s: implausible uncapped run %+v", cfg.Name, want)
+		}
+		if cfg.L1Bytes > 0 && want.CacheHits == 0 {
+			t.Fatalf("%s: no cache hits; the hit path is untested", cfg.Name)
+		}
+		for _, k := range []int{1, 3, 63} {
+			if got := run(cfg, k); got != want {
+				t.Errorf("%s k=%d: %+v, uncapped %+v", cfg.Name, k, got, want)
+			}
+		}
+	}
+}
+
 func TestConfigNames(t *testing.T) {
 	if CPUConfig(0).Cores != 4 {
 		t.Fatal("default cores wrong")

@@ -185,9 +185,9 @@ func TestCoreHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestSliceStreamBatchAndReset pins the BatchStream contract on
-// SliceStream: NextBatch emits exactly the Next sequence, mixed calls
-// interleave correctly, and Reset rewinds to the start.
+// TestSliceStreamBatchAndReset pins the Stream contract on SliceStream:
+// batches of any size continue where the previous one stopped, a short
+// tail batch precedes 0 at exhaustion, and Reset rewinds to the start.
 func TestSliceStreamBatchAndReset(t *testing.T) {
 	refs := make([]Ref, 10)
 	for i := range refs {
@@ -198,8 +198,8 @@ func TestSliceStreamBatchAndReset(t *testing.T) {
 	if n := s.NextBatch(buf); n != 4 || buf[0] != refs[0] || buf[3] != refs[3] {
 		t.Fatalf("first batch: n=%d buf=%v", n, buf[:n])
 	}
-	if r, ok := s.Next(); !ok || r != refs[4] {
-		t.Fatalf("Next after batch: %v %v", r, ok)
+	if n := s.NextBatch(buf[:1]); n != 1 || buf[0] != refs[4] {
+		t.Fatalf("single-ref batch: n=%d buf[0]=%v", n, buf[0])
 	}
 	if n := s.NextBatch(buf); n != 4 || buf[0] != refs[5] {
 		t.Fatalf("second batch: n=%d buf[0]=%v", n, buf[0])
@@ -211,7 +211,7 @@ func TestSliceStreamBatchAndReset(t *testing.T) {
 		t.Fatalf("exhausted batch: n=%d", n)
 	}
 	s.Reset()
-	if r, ok := s.Next(); !ok || r != refs[0] {
-		t.Fatalf("after Reset: %v %v", r, ok)
+	if n := s.NextBatch(buf[:1]); n != 1 || buf[0] != refs[0] {
+		t.Fatalf("after Reset: n=%d buf[0]=%v", n, buf[0])
 	}
 }

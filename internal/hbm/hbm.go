@@ -147,7 +147,7 @@ func (d *Device) Reset() {
 	d.busFree = b[:g.Channels:g.Channels]
 	d.nextRefresh = b[g.Channels : 2*g.Channels : 2*g.Channels]
 	d.bankBusy = b[2*g.Channels : 2*g.Channels+nb : 2*g.Channels+nb]
-	d.colReady = b[2*g.Channels+nb : need:need]
+	d.colReady = b[2*g.Channels+nb : need : need]
 	if cap(d.openRow) < nb {
 		d.openRow = make([]int32, nb)
 	}

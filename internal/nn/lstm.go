@@ -154,23 +154,23 @@ type LSTMState struct {
 	xw    []float64 // B + x·Wx of the last distinct input row
 
 	// Backward scratch, fully rewritten per call.
-	dxs              [][]float64
-	dh, dPre, dc     []float64
-	dhNext, dcNext   []float64
-	gateBuf, dxBuf   []float64 // backing arrays for steps[i]/dxs
+	dxs            [][]float64
+	dh, dPre, dc   []float64
+	dhNext, dcNext []float64
+	gateBuf, dxBuf []float64 // backing arrays for steps[i]/dxs
 }
 
 // NewState allocates reusable scratch for sequences up to maxT steps.
 func (l *LSTM) NewState(maxT int) *LSTMState {
 	st := &LSTMState{
-		lstm: l,
-		h0:   make([]float64, l.Hidden),
-		c0:   make([]float64, l.Hidden),
-		pre:  make([]float64, 4*l.Hidden),
-		xw:   make([]float64, 4*l.Hidden),
-		dh:   make([]float64, l.Hidden),
-		dPre: make([]float64, 4*l.Hidden),
-		dc:   make([]float64, l.Hidden),
+		lstm:   l,
+		h0:     make([]float64, l.Hidden),
+		c0:     make([]float64, l.Hidden),
+		pre:    make([]float64, 4*l.Hidden),
+		xw:     make([]float64, 4*l.Hidden),
+		dh:     make([]float64, l.Hidden),
+		dPre:   make([]float64, 4*l.Hidden),
+		dc:     make([]float64, l.Hidden),
 		dhNext: make([]float64, l.Hidden),
 		dcNext: make([]float64, l.Hidden),
 	}

@@ -74,6 +74,10 @@ func cachedProfile(w workload.Workload, o Options) (profile.Profile, *trace.Coll
 	})
 	if computed {
 		statProfMiss.Add(1)
+		if entry.err != nil {
+			// Failures are never memoized (see cachedSelection).
+			profCache.CompareAndDelete(key, entry)
+		}
 	} else {
 		statProfHits.Add(1)
 	}

@@ -89,9 +89,14 @@ func cachedSelection(o Options, prof profile.Profile, deltas []trace.DeltaSample
 	})
 	// A caller whose once.Do ran the computation is the miss; everyone
 	// else — including waiters that blocked on that first computation —
-	// was served by the cache.
+	// was served by the cache. Failures are never memoized: the
+	// computing caller drops its errored entry, so waiters already
+	// holding it share the error and later callers recompute.
 	if computed {
 		statSelMiss.Add(1)
+		if entry.err != nil {
+			selCache.CompareAndDelete(key, entry)
+		}
 	} else {
 		statSelHits.Add(1)
 	}

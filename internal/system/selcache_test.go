@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/nn"
+	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
@@ -68,5 +69,26 @@ func TestSelectionCacheKeyDiscriminates(t *testing.T) {
 	}
 	if nn.TrainSteps() == before {
 		t.Fatal("changed Clusters reused the cached selection; key does not discriminate")
+	}
+}
+
+// TestSelectionCacheForgetsFailures pins that a failed selection is not
+// memoized: the errored entry leaves the cache, and an identical repeat
+// call computes again instead of being served the stale error.
+func TestSelectionCacheForgetsFailures(t *testing.T) {
+	resetObsState(t)
+	o := Options{Kind: BSDM}
+	for call := 1; call <= 2; call++ {
+		if _, err := cachedSelection(o, profile.Profile{}, nil); err == nil {
+			t.Fatalf("call %d: BSDM selection succeeded, want an error", call)
+		}
+		entries := 0
+		selCache.Range(func(_, _ any) bool { entries++; return true })
+		if entries != 0 {
+			t.Fatalf("call %d: %d cache entries after a failed selection, want 0", call, entries)
+		}
+	}
+	if miss, hits := statSelMiss.Value(), statSelHits.Value(); miss != 2 || hits != 0 {
+		t.Fatalf("misses=%d hits=%d after two failing calls, want 2 and 0", miss, hits)
 	}
 }

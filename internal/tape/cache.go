@@ -12,8 +12,8 @@ import (
 
 // The process-wide tape cache. A sweep's cells arrive keyed by
 // {workload.TapeKey, seed}; the first arrival generates the streams
-// live and records them, everyone else blocks until the tape is sealed
-// into the map and then replays it read-only. Results are bit-identical
+// live and records them, everyone else blocks until the tape is stored
+// in the map and then replays it read-only. Results are bit-identical
 // either way — replay emits the recorded sequence, and the recording
 // cell's engine consumed exactly that sequence — so bit-identity at any
 // -jobs count is preserved by construction.

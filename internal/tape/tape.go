@@ -2,7 +2,7 @@
 // {workload parameters, seed} into immutable flat columns — a
 // "reference tape" — that every sweep cell replays instead of re-running
 // the stream generator. The legality argument is the same invariant the
-// engine's BatchStream contract already relies on: a stream's reference
+// engine's Stream contract already relies on: a stream's reference
 // *sequence* is a pure function of the workload's parameters, its seed,
 // and its allocation base addresses; only issue *times* vary with the
 // memory configuration. Sweeps that compare many configurations over one
@@ -16,11 +16,10 @@
 // stored with the allocation slot it landed in, and replaying under a
 // different VM layout (a different configuration's chunk groups place
 // the heap differently) just adds that cell's base delta. Physical
-// addresses are deliberately NOT shared across configurations: demand
-// paging assigns frames in first-touch order, which depends on the
-// configuration's timing, so pre-translated PAs are only valid for one
-// concrete address space — the Seal fast path below, used when a cell
-// replays against an already-populated space.
+// addresses are deliberately NOT recorded: every cell boots a fresh,
+// demand-paged address space whose frames are assigned in first-touch
+// order, and that order depends on the mapping under test, so a
+// translation taken in one cell is never valid at the start of another.
 package tape
 
 import (
@@ -28,7 +27,6 @@ import (
 	"sort"
 
 	"repro/internal/cpu"
-	"repro/internal/geom"
 	"repro/internal/vm"
 )
 
@@ -167,23 +165,8 @@ func Record(streams []cpu.Stream, lay Layout) *Tape {
 	idx := newSlotIndex(&t.layout)
 	var buf [256]cpu.Ref
 	for _, s := range streams {
-		if b, ok := s.(cpu.BatchStream); ok {
-			for {
-				n := b.NextBatch(buf[:])
-				if n == 0 {
-					break
-				}
-				t.append(buf[:n], idx)
-			}
-		} else {
-			for {
-				r, ok := s.Next()
-				if !ok {
-					break
-				}
-				buf[0] = r
-				t.append(buf[:1], idx)
-			}
+		for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+			t.append(buf[:n], idx)
 		}
 		t.starts = append(t.starts, len(t.va))
 	}
@@ -233,7 +216,7 @@ func (t *Tape) Streams(lay *Layout) ([]cpu.Stream, error) {
 	}
 	out := make([]cpu.Stream, t.NumStreams())
 	for i := range out {
-		out[i] = &replayStream{t: t, delta: delta, start: t.starts[i], pos: t.starts[i], end: t.starts[i+1]}
+		out[i] = &replayStream{t: t, delta: delta, pos: t.starts[i], end: t.starts[i+1]}
 	}
 	return out, nil
 }
@@ -244,28 +227,11 @@ func (t *Tape) Streams(lay *Layout) ([]cpu.Stream, error) {
 type replayStream struct {
 	t     *Tape
 	delta []uint64
-	start int
 	pos   int
 	end   int
 }
 
-// Next implements cpu.Stream.
-func (r *replayStream) Next() (cpu.Ref, bool) {
-	if r.pos >= r.end {
-		return cpu.Ref{}, false
-	}
-	t, i := r.t, r.pos
-	r.pos++
-	va := t.va[i]
-	if r.delta != nil {
-		if s := t.slot[i]; s >= 0 {
-			va += r.delta[s]
-		}
-	}
-	return cpu.Ref{VA: vm.VA(va), PC: t.pc[i], Write: t.isWrite(i)}, true
-}
-
-// NextBatch implements cpu.BatchStream.
+// NextBatch implements cpu.Stream.
 func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 	n := r.end - r.pos
 	if n > len(buf) {
@@ -291,80 +257,5 @@ func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 		}
 	}
 	r.pos += n
-	return n
-}
-
-// Reset rewinds the view for replay.
-func (r *replayStream) Reset() { r.pos = r.start }
-
-// Sealed is a tape bound to one concrete, fully populated address
-// space: every reference carries its pre-translated physical line
-// address, so the engine's tape-replay fast path skips vm.Translate
-// entirely. Sealing is only exact for that one address space — demand
-// paging ties frame assignment to a specific run's fault order — which
-// is why Seal refuses to fault pages in.
-type Sealed struct {
-	t     *Tape
-	delta []uint64
-	lines []geom.LineAddr
-}
-
-// Seal pre-translates the tape against as, under the cell layout lay.
-// Every referenced page must already be populated (e.g. by a prior live
-// run on the same space); an unpopulated page is an error, never a
-// fault.
-func (t *Tape) Seal(lay *Layout, as *vm.AddressSpace) (*Sealed, error) {
-	var delta []uint64
-	if !t.layout.sameBases(lay) {
-		if !t.rebasable || !t.layout.sameShape(lay) {
-			return nil, fmt.Errorf("tape: cannot seal under an incompatible layout")
-		}
-		delta = make([]uint64, len(lay.Allocs))
-		for i := range delta {
-			delta[i] = uint64(lay.Allocs[i].Base) - uint64(t.layout.Allocs[i].Base)
-		}
-	}
-	s := &Sealed{t: t, delta: delta, lines: make([]geom.LineAddr, t.Refs())}
-	for i := range s.lines {
-		va := t.va[i]
-		if delta != nil {
-			if sl := t.slot[i]; sl >= 0 {
-				va += delta[sl]
-			}
-		}
-		l, ok := as.TranslateLinePeek(vm.VA(va))
-		if !ok {
-			return nil, fmt.Errorf("tape: seal: page of %#x not populated; run the tape live once first", va)
-		}
-		s.lines[i] = l
-	}
-	return s, nil
-}
-
-// Streams returns the sealed replay views; they implement
-// cpu.LineBatchStream, so the engine consumes the pre-translated lines.
-func (s *Sealed) Streams() []cpu.Stream {
-	out := make([]cpu.Stream, s.t.NumStreams())
-	for i := range out {
-		out[i] = &sealedStream{
-			replayStream: replayStream{t: s.t, delta: s.delta, start: s.t.starts[i], pos: s.t.starts[i], end: s.t.starts[i+1]},
-			lines:        s.lines,
-		}
-	}
-	return out
-}
-
-// sealedStream adds the pre-translated line column to a replay view.
-type sealedStream struct {
-	replayStream
-	lines []geom.LineAddr
-}
-
-// NextBatchLines implements cpu.LineBatchStream: refs and lines fill in
-// lockstep from the tape columns.
-func (s *sealedStream) NextBatchLines(refs []cpu.Ref, lines []geom.LineAddr) int {
-	start := s.pos
-	n := s.NextBatch(refs)
-	copy(lines[:n], s.lines[start:start+n])
 	return n
 }

@@ -37,22 +37,8 @@ func drain(ss []cpu.Stream) [][]cpu.Ref {
 	out := make([][]cpu.Ref, len(ss))
 	var buf [64]cpu.Ref
 	for i, s := range ss {
-		if b, ok := s.(cpu.BatchStream); ok {
-			for {
-				n := b.NextBatch(buf[:])
-				if n == 0 {
-					break
-				}
-				out[i] = append(out[i], buf[:n]...)
-			}
-			continue
-		}
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			out[i] = append(out[i], r)
+		for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+			out[i] = append(out[i], buf[:n]...)
 		}
 	}
 	return out
@@ -128,64 +114,6 @@ func TestReplayRejectsIncompatibleLayout(t *testing.T) {
 	short := Layout{Allocs: lay.Allocs[:len(lay.Allocs)-1]}
 	if _, err := tp.Streams(&short); err == nil {
 		t.Fatal("replay accepted a layout with a missing allocation")
-	}
-}
-
-func TestStreamsResetRewinds(t *testing.T) {
-	w := testWorkload()
-	lay, _ := setup(t, w, 0)
-	tp := Record(w.Streams(3), lay)
-	ss, err := tp.Streams(&lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := drain(ss)
-	for _, s := range ss {
-		s.(*replayStream).Reset()
-	}
-	sameRefs(t, drain(ss), first)
-}
-
-func TestSealPretranslatesLines(t *testing.T) {
-	w := testWorkload()
-	lay, as := setup(t, w, 0)
-	tp := Record(w.Streams(9), lay)
-
-	// Sealing an unpopulated space must refuse, never fault.
-	if _, err := tp.Seal(&lay, as); err == nil {
-		t.Fatal("Seal faulted pages into an unpopulated space")
-	}
-
-	// Populate by touching every recorded page live, then seal and
-	// check each batch's lines against the live translation.
-	for i := 0; i < tp.Refs(); i++ {
-		if _, err := as.TranslateLine(vm.VA(tp.va[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sealed, err := tp.Seal(&lay, as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refs [64]cpu.Ref
-	var lines [64]geom.LineAddr
-	for _, s := range sealed.Streams() {
-		lb := s.(cpu.LineBatchStream)
-		for {
-			n := lb.NextBatchLines(refs[:], lines[:])
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				want, err := as.TranslateLine(refs[i].VA)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lines[i] != want {
-					t.Fatalf("sealed line %v for %v, want %v", lines[i], refs[i].VA, want)
-				}
-			}
-		}
 	}
 }
 

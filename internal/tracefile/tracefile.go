@@ -69,18 +69,17 @@ func Record(w workload.Workload, seed int64) (*File, error) {
 		}
 		return i, uint64(va - allocs[i].VA), nil
 	}
+	var buf [256]cpu.Ref
 	for _, s := range w.Streams(seed) {
 		var recs []Rec
-		for {
-			ref, ok := s.Next()
-			if !ok {
-				break
+		for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+			for _, ref := range buf[:n] {
+				vi, off, err := find(ref.VA)
+				if err != nil {
+					return nil, err
+				}
+				recs = append(recs, Rec{Var: vi, Off: off, Write: ref.Write, PC: ref.PC})
 			}
-			vi, off, err := find(ref.VA)
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, Rec{Var: vi, Off: off, Write: ref.Write, PC: ref.PC})
 		}
 		f.Threads = append(f.Threads, recs)
 	}

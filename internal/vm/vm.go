@@ -267,23 +267,6 @@ func (as *AddressSpace) TranslateLine(va VA) (geom.LineAddr, error) {
 	return geom.PA(pa), nil
 }
 
-// TranslateLinePeek resolves a VA to its line physical address without
-// side effects: a populated page translates, an unpopulated (or
-// unmapped) one reports ok=false instead of taking a demand fault.
-// Tape sealing uses it to pre-translate a recorded stream against an
-// already-populated address space — a fault there would perturb the
-// fault order the simulated run is defined by.
-//
-//sdam:noalloc
-func (as *AddressSpace) TranslateLinePeek(va VA) (geom.LineAddr, bool) {
-	if idx := va.VPN() - as.ptBase; idx < uint64(len(as.frames)) {
-		if e := as.frames[idx]; e != 0 {
-			return geom.LineAddr(((e-1)<<geom.PageShift | va.PageOffset()) >> geom.LineShift), true
-		}
-	}
-	return 0, false
-}
-
 // Remap moves the VMA starting at start to a different address mapping:
 // every populated page migrates to a frame in the new mapping's chunk
 // group and the VMA's mapping ID changes, so future faults follow suit.

@@ -233,23 +233,20 @@ type varRef struct {
 
 // mixStream interleaves several variables' reference generators
 // according to a deterministic weighted schedule. It generates
-// references incrementally (cpu.BatchStream), so a multi-million-entry
-// stream is never materialized, and it can Reset for replay because the
-// whole emission is a function of the stored seed.
+// references incrementally in batches (cpu.Stream), so a
+// multi-million-entry stream is never materialized.
 type mixStream struct {
 	vars      []varRef
 	states    []PatternState
 	schedule  []int
 	pos       int
 	remaining int
-	n         int   // total references, for Reset
-	seed      int64 // pattern-state seed, for Reset
 }
 
 // newMixStream builds a stream of n references over the variables,
 // scheduled by weight.
 func newMixStream(vars []varRef, n int, seed int64) *mixStream {
-	ms := &mixStream{vars: vars, remaining: n, n: n, seed: seed}
+	ms := &mixStream{vars: vars, remaining: n}
 	ms.states = make([]PatternState, len(vars))
 	for i, v := range vars {
 		ms.states[i] = v.pattern.NewState(v.bytes, seed+int64(i))
@@ -291,7 +288,9 @@ func newMixStream(vars []varRef, n int, seed int64) *mixStream {
 	return ms
 }
 
-// Next implements cpu.Stream.
+// Next emits one reference; ok=false ends the stream. It is the scalar
+// reference implementation NextBatch is tested against, not part of
+// the cpu.Stream contract.
 func (ms *mixStream) Next() (cpu.Ref, bool) {
 	if ms.remaining <= 0 || len(ms.schedule) == 0 {
 		return cpu.Ref{}, false
@@ -307,8 +306,8 @@ func (ms *mixStream) Next() (cpu.Ref, bool) {
 	return cpu.Ref{VA: v.base + vm.VA(off), PC: v.pc}, true
 }
 
-// NextBatch implements cpu.BatchStream: the same emission as repeated
-// Next calls, produced with the schedule wrap hoisted out of the
+// NextBatch implements cpu.Stream: the same emission as repeated Next
+// calls, produced with the schedule wrap hoisted out of the
 // per-reference work.
 //
 //sdam:noalloc
@@ -337,15 +336,4 @@ func (ms *mixStream) NextBatch(buf []cpu.Ref) int {
 	ms.pos += n
 	ms.remaining -= n
 	return n
-}
-
-// Reset rewinds the stream to its initial state: the schedule is
-// already a pure function of the construction seed, and the pattern
-// states are rebuilt from it.
-func (ms *mixStream) Reset() {
-	ms.pos = 0
-	ms.remaining = ms.n
-	for i, v := range ms.vars {
-		ms.states[i] = v.pattern.NewState(v.bytes, ms.seed+int64(i))
-	}
 }

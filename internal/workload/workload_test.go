@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/trace"
@@ -18,6 +19,16 @@ func newEnv(t *testing.T) *Env {
 		Heap:      heap.New(as),
 		Collector: trace.NewCollector(0),
 	}
+}
+
+// refsOf drains s in engine-sized batches.
+func refsOf(s cpu.Stream) []cpu.Ref {
+	var out []cpu.Ref
+	var buf [64]cpu.Ref
+	for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+		out = append(out, buf[:n]...)
+	}
+	return out
 }
 
 func TestStridePatternSequence(t *testing.T) {
@@ -143,11 +154,7 @@ func TestProxyStreamsProduceBoundedRefs(t *testing.T) {
 	}
 	var n int
 	for _, s := range streams {
-		for {
-			ref, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, ref := range refsOf(s) {
 			if env.AS.FindVMA(ref.VA) == nil {
 				t.Fatalf("reference %#x outside any allocation", uint64(ref.VA))
 			}
@@ -167,12 +174,7 @@ func TestProxyDeterministicPerSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var vas []vm.VA
-		s := p.Streams(7)[0]
-		for {
-			ref, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, ref := range refsOf(p.Streams(7)[0]) {
 			vas = append(vas, ref.VA)
 		}
 		return vas
@@ -196,12 +198,7 @@ func TestProxySeedChangesInput(t *testing.T) {
 	}
 	collect := func(seed int64) []vm.VA {
 		var vas []vm.VA
-		s := p.Streams(seed)[0]
-		for {
-			ref, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, ref := range refsOf(p.Streams(seed)[0]) {
 			vas = append(vas, ref.VA)
 		}
 		return vas
@@ -263,11 +260,7 @@ func TestStrideCopy(t *testing.T) {
 	// (modulo the wrap skew).
 	var prev vm.VA
 	first := true
-	for {
-		ref, ok := streams[1].Next()
-		if !ok {
-			break
-		}
+	for _, ref := range refsOf(streams[1]) {
 		if !first {
 			d := int64(ref.VA) - int64(prev)
 			if d != 16*geom.LineBytes && d >= 0 {
