@@ -40,9 +40,10 @@ func detectAsm() bool {
 	return b7&avx2Bit != 0
 }
 
-// Accelerated reports whether the AVX2 kernel bodies are active. The
-// lockstep trainer uses it to pick between the bulk row kernels (which
-// win only when vectorized) and the lane-fused Go kernels.
+// Accelerated reports whether the AVX2 kernel bodies are active. It
+// selects nothing: every kernel has a bit-identical Go body. Benchmark
+// reports stamp it, because host timings are comparable only between
+// runs that agree on it.
 func Accelerated() bool { return useAsm }
 
 // useAVX512 additionally gates the 512-bit widenings of the bulk

@@ -11,11 +11,12 @@
 // gradient kernels) are preserved verbatim: adding a zero could flip a
 // -0 accumulator to +0, so a skip removed or added would change bits.
 //
-// The multi-lane variants (Axpy2..Axpy4, GradDot2..GradDot4) stream the
-// shared row operand once across all lanes. That is the arithmetic-
-// intensity win of the lockstep trainer: a weight row loaded once feeds
-// up to four independent fused-multiply-add chains instead of being
-// re-streamed per sequence.
+// The per-row kernels here (Axpy, GradDot, AxpyDot) serve the scalar
+// paths: Linear and the per-sequence LSTMState.Backward, which is the
+// referee the lockstep trainer is tested against. The lockstep trainer
+// runs the whole-matrix kernels in rows.go. Its one lane-fused kernel,
+// DotRows4, streams each weight row once across four lanes' dot
+// chains; a tile with fewer lanes feeds zero rows to the rest.
 //
 // Kernels never allocate (//sdam:noalloc; pinned by AllocsPerRun
 // tests) and are written against the standard library only.
@@ -49,53 +50,6 @@ func axpyGeneric(dst, x []float64, a float64) {
 	}
 	for ; j < len(dst); j++ {
 		dst[j] += a * x[j]
-	}
-}
-
-// Axpy2 is Axpy fused over two lanes sharing one x stream: each x[j] is
-// loaded once and feeds both lanes' independent accumulation chains.
-//
-//sdam:noalloc
-func Axpy2(d0, d1, x []float64, a0, a1 float64) {
-	n := len(x)
-	d0 = d0[:n]
-	d1 = d1[:n]
-	for j, w := range x {
-		d0[j] += a0 * w
-		d1[j] += a1 * w
-	}
-}
-
-// Axpy3 is Axpy fused over three lanes.
-//
-//sdam:noalloc
-func Axpy3(d0, d1, d2, x []float64, a0, a1, a2 float64) {
-	n := len(x)
-	d0 = d0[:n]
-	d1 = d1[:n]
-	d2 = d2[:n]
-	for j, w := range x {
-		d0[j] += a0 * w
-		d1[j] += a1 * w
-		d2[j] += a2 * w
-	}
-}
-
-// Axpy4 is Axpy fused over four lanes — the lockstep trainer's default
-// tile width.
-//
-//sdam:noalloc
-func Axpy4(d0, d1, d2, d3, x []float64, a0, a1, a2, a3 float64) {
-	n := len(x)
-	d0 = d0[:n]
-	d1 = d1[:n]
-	d2 = d2[:n]
-	d3 = d3[:n]
-	for j, w := range x {
-		d0[j] += a0 * w
-		d1[j] += a1 * w
-		d2[j] += a2 * w
-		d3[j] += a3 * w
 	}
 }
 
@@ -232,96 +186,6 @@ func GradDot(grad, row, g []float64, xi float64) float64 {
 		acc += row[j] * gj
 	}
 	return acc
-}
-
-// GradDot2 is GradDot fused over two lanes sharing one weight-row
-// stream. Each lane keeps its own gradient buffer, dPre vector, scale,
-// and accumulator, so its operation chain is untouched.
-//
-//sdam:noalloc
-func GradDot2(grad0, grad1, row, g0, g1 []float64, xi0, xi1 float64) (float64, float64) {
-	n := len(row)
-	grad0 = grad0[:n]
-	grad1 = grad1[:n]
-	g0 = g0[:n]
-	g1 = g1[:n]
-	var acc0, acc1 float64
-	for j, w := range row {
-		if gj := g0[j]; gj != 0 {
-			grad0[j] += xi0 * gj
-			acc0 += w * gj
-		}
-		if gj := g1[j]; gj != 0 {
-			grad1[j] += xi1 * gj
-			acc1 += w * gj
-		}
-	}
-	return acc0, acc1
-}
-
-// GradDot3 is GradDot fused over three lanes.
-//
-//sdam:noalloc
-func GradDot3(grad0, grad1, grad2, row, g0, g1, g2 []float64, xi0, xi1, xi2 float64) (float64, float64, float64) {
-	n := len(row)
-	grad0 = grad0[:n]
-	grad1 = grad1[:n]
-	grad2 = grad2[:n]
-	g0 = g0[:n]
-	g1 = g1[:n]
-	g2 = g2[:n]
-	var acc0, acc1, acc2 float64
-	for j, w := range row {
-		if gj := g0[j]; gj != 0 {
-			grad0[j] += xi0 * gj
-			acc0 += w * gj
-		}
-		if gj := g1[j]; gj != 0 {
-			grad1[j] += xi1 * gj
-			acc1 += w * gj
-		}
-		if gj := g2[j]; gj != 0 {
-			grad2[j] += xi2 * gj
-			acc2 += w * gj
-		}
-	}
-	return acc0, acc1, acc2
-}
-
-// GradDot4 is GradDot fused over four lanes — the lockstep trainer's
-// full tile.
-//
-//sdam:noalloc
-func GradDot4(grad0, grad1, grad2, grad3, row, g0, g1, g2, g3 []float64, xi0, xi1, xi2, xi3 float64) (float64, float64, float64, float64) {
-	n := len(row)
-	grad0 = grad0[:n]
-	grad1 = grad1[:n]
-	grad2 = grad2[:n]
-	grad3 = grad3[:n]
-	g0 = g0[:n]
-	g1 = g1[:n]
-	g2 = g2[:n]
-	g3 = g3[:n]
-	var acc0, acc1, acc2, acc3 float64
-	for j, w := range row {
-		if gj := g0[j]; gj != 0 {
-			grad0[j] += xi0 * gj
-			acc0 += w * gj
-		}
-		if gj := g1[j]; gj != 0 {
-			grad1[j] += xi1 * gj
-			acc1 += w * gj
-		}
-		if gj := g2[j]; gj != 0 {
-			grad2[j] += xi2 * gj
-			acc2 += w * gj
-		}
-		if gj := g3[j]; gj != 0 {
-			grad3[j] += xi3 * gj
-			acc3 += w * gj
-		}
-	}
-	return acc0, acc1, acc2, acc3
 }
 
 // SumSquaresAcc extends the running accumulator acc with Σ xs[j]² in

@@ -67,35 +67,6 @@ func TestAxpyMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestAxpyLanesMatchScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 5, 128} {
-		x := vec(r, n)
-		a := []float64{r.Float64(), -r.Float64(), 0, r.Float64()}
-		got2 := [][]float64{vec(r, n), vec(r, n)}
-		want2 := [][]float64{clone(got2[0]), clone(got2[1])}
-		Axpy2(got2[0], got2[1], x, a[0], a[1])
-		for k := range want2 {
-			axpyRef(want2[k], x, a[k])
-			eq(t, "Axpy2", got2[k], want2[k])
-		}
-		got3 := [][]float64{vec(r, n), vec(r, n), vec(r, n)}
-		want3 := [][]float64{clone(got3[0]), clone(got3[1]), clone(got3[2])}
-		Axpy3(got3[0], got3[1], got3[2], x, a[0], a[1], a[2])
-		for k := range want3 {
-			axpyRef(want3[k], x, a[k])
-			eq(t, "Axpy3", got3[k], want3[k])
-		}
-		got4 := [][]float64{vec(r, n), vec(r, n), vec(r, n), vec(r, n)}
-		want4 := [][]float64{clone(got4[0]), clone(got4[1]), clone(got4[2]), clone(got4[3])}
-		Axpy4(got4[0], got4[1], got4[2], got4[3], x, a[0], a[1], a[2], a[3])
-		for k := range want4 {
-			axpyRef(want4[k], x, a[k])
-			eq(t, "Axpy4", got4[k], want4[k])
-		}
-	}
-}
-
 // gradDotRef is the scalar loop GradDot replaced, zero skip included.
 func gradDotRef(grad, row, g []float64, xi float64) float64 {
 	acc := 0.0
@@ -109,47 +80,17 @@ func gradDotRef(grad, row, g []float64, xi float64) float64 {
 	return acc
 }
 
-func TestGradDotLanesMatchScalar(t *testing.T) {
+func TestGradDotMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 4, 33, 128} {
-		row := vec(r, n)
-		xi := []float64{r.Float64(), -r.Float64(), 0, r.Float64() * 100}
-		g := [][]float64{vec(r, n), vec(r, n), vec(r, n), vec(r, n)}
-		mk := func() ([][]float64, [][]float64) {
-			got := [][]float64{vec(r, n), vec(r, n), vec(r, n), vec(r, n)}
-			want := [][]float64{clone(got[0]), clone(got[1]), clone(got[2]), clone(got[3])}
-			return got, want
-		}
-
-		got, want := mk()
-		a0 := GradDot(got[0], row, g[0], xi[0])
-		w0 := gradDotRef(want[0], row, g[0], xi[0])
-		eq(t, "GradDot.grad", got[0], want[0])
-		eqScalar(t, "GradDot.acc", a0, w0)
-
-		got, want = mk()
-		a0, a1 := GradDot2(got[0], got[1], row, g[0], g[1], xi[0], xi[1])
-		w0 = gradDotRef(want[0], row, g[0], xi[0])
-		w1 := gradDotRef(want[1], row, g[1], xi[1])
-		eq(t, "GradDot2.0", got[0], want[0])
-		eq(t, "GradDot2.1", got[1], want[1])
-		eqScalar(t, "GradDot2.acc0", a0, w0)
-		eqScalar(t, "GradDot2.acc1", a1, w1)
-
-		got, want = mk()
-		a0, a1, a2 := GradDot3(got[0], got[1], got[2], row, g[0], g[1], g[2], xi[0], xi[1], xi[2])
-		for k, acc := range []float64{a0, a1, a2} {
-			w := gradDotRef(want[k], row, g[k], xi[k])
-			eq(t, "GradDot3.grad", got[k], want[k])
-			eqScalar(t, "GradDot3.acc", acc, w)
-		}
-
-		got, want = mk()
-		a0, a1, a2, a3 := GradDot4(got[0], got[1], got[2], got[3], row, g[0], g[1], g[2], g[3], xi[0], xi[1], xi[2], xi[3])
-		for k, acc := range []float64{a0, a1, a2, a3} {
-			w := gradDotRef(want[k], row, g[k], xi[k])
-			eq(t, "GradDot4.grad", got[k], want[k])
-			eqScalar(t, "GradDot4.acc", acc, w)
+		row, g := vec(r, n), vec(r, n)
+		for _, xi := range []float64{r.Float64(), -r.Float64(), 0, r.Float64() * 100} {
+			got := vec(r, n)
+			want := clone(got)
+			acc := GradDot(got, row, g, xi)
+			w := gradDotRef(want, row, g, xi)
+			eq(t, "GradDot.grad", got, want)
+			eqScalar(t, "GradDot.acc", acc, w)
 		}
 	}
 }
@@ -329,16 +270,13 @@ func TestLSTMGateKernelsMatchScalar(t *testing.T) {
 func TestKernelsZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	n := 128
-	a, b, c, d, x, y := vec(r, n), vec(r, n), vec(r, n), vec(r, n), vec(r, n), vec(r, n)
+	a, b, x, y := vec(r, n), vec(r, n), vec(r, n), vec(r, n)
 	m, v := vec(r, n), vec(r, n)
 	H := 32
 	g4 := vec(r, 4*H)
 	s1, s2, s3, s4, s5, s6, s7 := vec(r, H), vec(r, H), vec(r, H), vec(r, H), vec(r, H), vec(r, H), vec(r, H)
 	allocs := testing.AllocsPerRun(16, func() {
 		Axpy(a, x, 0.5)
-		Axpy2(a, b, x, 0.5, 0.25)
-		Axpy3(a, b, c, x, 0.5, 0.25, 0.125)
-		Axpy4(a, b, c, d, x, 0.5, 0.25, 0.125, 0.0625)
 		Add(a, x)
 		AddSkip(a, x)
 		ReduceSkip(a, y)
@@ -346,9 +284,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		Mul(a, x, b)
 		_ = AxpyDot(a, b, x, 0.5)
 		_ = GradDot(a, b, x, 0.5)
-		_, _ = GradDot2(a, b, x, c, d, 0.5, 0.25)
-		_, _, _ = GradDot3(a, b, c, x, c, d, y, 0.5, 0.25, 0.125)
-		_, _, _, _ = GradDot4(a, b, c, d, x, c, d, y, m, 0.5, 0.25, 0.125, 0.0625)
 		_ = SumSquaresAcc(0, x)
 		AdamStep(a, b, m, v, 1, 0.9, 0.999, 0.001, 1e-8, 0.1, 0.001)
 		LSTMGates(s1, s2, s3, s4, s5, s6, s7, g4, x[:H])

@@ -1,11 +1,14 @@
 package f64
 
-// Bulk timestep kernels: whole weight-matrix passes used by the
-// lockstep trainer's dense fast path (all four lanes active, equal
-// sequence lengths). Each is bit-identical to issuing the per-row
-// kernels (Axpy/GradDot) row by row — the loops run over the same
-// elements in the same order; only call overhead and, on amd64,
-// vectorization across independent chains change.
+// Bulk timestep kernels: whole weight-matrix passes. LSTM.ForwardIn
+// applies its weights with AxpyRows, and the lockstep trainer's
+// backward runs Interleave4, DotRows4 and GradRowsT for every lane
+// tile, whatever its lane count and sequence lengths. Each is
+// bit-identical to issuing the per-row kernels (Axpy/GradDot) row by
+// row — the loops run over the same elements in the same order; only
+// call overhead and, on amd64, vectorization across independent chains
+// change. Every one has a generic Go body with the same bits, so hosts
+// without the assembly run the same path.
 
 // AxpyRows applies a whole timestep's forward weight rows for one
 // lane: for each row i with xs[i] != 0 (the load-bearing row skip),

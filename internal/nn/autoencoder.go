@@ -409,11 +409,14 @@ type trainer struct {
 	sParams [][]*Param
 	losses  []float64
 	maxT    int
-	tiles   []*laneTile  // lockstep lane groups over the batch slots
-	embScr  []*embedTile // per-worker lockstep scratch for embedding sweeps
+	tiles   []*laneTile    // lockstep lane groups over the batch slots
+	embScr  []*stepScratch // per-worker scratch for embedding sweeps
 }
 
-func newTrainer(m *Autoencoder, batch, maxT int) *trainer {
+// newTrainer sizes a trainer for batch slots of sequences up to maxT
+// steps, grouping the slots into lane tiles of width lanes (production
+// passes tileWidth(batch); benchmarks pin it).
+func newTrainer(m *Autoencoder, batch, maxT, lanes int) *trainer {
 	tr := &trainer{master: m, maxT: maxT, losses: make([]float64, batch)}
 	if batch == 1 {
 		// Serial fast path: gradients accumulate directly into the
@@ -432,9 +435,8 @@ func newTrainer(m *Autoencoder, batch, maxT int) *trainer {
 	// Partition the batch slots into contiguous lockstep tiles. The
 	// partition only affects scheduling and weight-stream reuse, never
 	// bits: slot b's gradient lands in slot b's buffers regardless.
-	w := tileWidth(batch)
-	for lo := 0; lo < batch; lo += w {
-		hi := lo + w
+	for lo := 0; lo < batch; lo += lanes {
+		hi := lo + lanes
 		if hi > batch {
 			hi = batch
 		}
@@ -458,10 +460,10 @@ func (tr *trainer) step(seqs []Sequence, idx []int, centroids [][]float64, assig
 		return tr.master.stepIn(tr.scr[0], seqs[idx[0]], centroidOf(idx[0]), lambda)
 	}
 	// Lockstep lane tiles replace the per-sequence fan-out: each tile
-	// advances its slots through the network together, streaming every
-	// weight row once across its lanes (lockstep.go). Tiles run
-	// concurrently when there is more than one; each batch slot still
-	// owns its shadow model and scratch.
+	// advances its slots through the network together, and its backward
+	// sweeps stream every weight row once across its lanes (lockstep.go).
+	// Tiles run concurrently when there is more than one; each batch
+	// slot still owns its shadow model and scratch.
 	if len(tr.tiles) == 1 {
 		tr.tiles[0].run(seqs, idx, centroids, assign, lambda)
 	} else {
@@ -490,11 +492,10 @@ func (tr *trainer) step(seqs []Sequence, idx []int, centroids [][]float64, assig
 	return sum * inv
 }
 
-// embedAll computes the embedding of every sequence through lockstep
-// lane tiles: each worker advances laneWidth sequences through the
-// encoder together, streaming every weight row once per tile instead
-// of once per sequence. Each output slot is written independently, so
-// the result is bit-identical at any worker or lane count.
+// embedAll computes the embedding of every sequence, running the
+// encoder over the sequences on the worker pool with per-worker
+// scratch. Each output slot is written independently, so the result is
+// bit-identical at any worker count. Empty sequences keep zero rows.
 func (tr *trainer) embedAll(seqs []Sequence) [][]float64 {
 	out := make([][]float64, len(seqs))
 	dim := tr.master.cfg.Hidden
@@ -502,25 +503,14 @@ func (tr *trainer) embedAll(seqs []Sequence) [][]float64 {
 	for i := range out {
 		out[i] = buf[i*dim : (i+1)*dim]
 	}
-	nTiles := (len(seqs) + laneWidth - 1) / laneWidth
-	workers := hwWorkers()
-	if workers > nTiles {
-		workers = nTiles
-	}
+	workers := min(hwWorkers(), len(seqs))
 	for len(tr.embScr) < workers {
-		tr.embScr = append(tr.embScr, newEmbedTile(tr.master, tr.maxT))
+		tr.embScr = append(tr.embScr, tr.master.newScratch(tr.maxT))
 	}
-	tiles := make([]int, nTiles)
-	for i := range tiles {
-		tiles[i] = i
-	}
-	parallel.MapNWorker(workers, tiles, func(w, _, ti int) (struct{}, error) {
-		lo := ti * laneWidth
-		hi := lo + laneWidth
-		if hi > len(seqs) {
-			hi = len(seqs)
+	parallel.MapNWorker(workers, seqs, func(w, i int, s Sequence) (struct{}, error) {
+		if len(s.Deltas) > 0 {
+			copy(out[i], tr.master.encodeIn(tr.embScr[w], s))
 		}
-		tr.embScr[w].run(tr.master, seqs, lo, hi, out)
 		return struct{}{}, nil
 	})
 	return out
@@ -571,7 +561,7 @@ func (m *Autoencoder) TrainJoint(seqs []Sequence, opts TrainOptions) (TrainRepor
 			maxT = len(s.Deltas)
 		}
 	}
-	tr := newTrainer(m, opts.Batch, maxT)
+	tr := newTrainer(m, opts.Batch, maxT, tileWidth(opts.Batch))
 	idx := make([]int, opts.Batch)
 	draw := func() {
 		// Batch indices are drawn serially on the caller's goroutine, so

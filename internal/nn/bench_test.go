@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -36,5 +37,32 @@ func BenchmarkTrainJoint(b *testing.B) {
 		if _, err := m.TrainJoint(seqs, TrainOptions{Steps: 75, K: 32, Seed: 1, Batch: 4}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTrainJointLanes times one TrainJoint optimizer step at the
+// SelectDL shape (Batch 4, windows of 16) with the lane-tile width
+// pinned to 1..4, so every width is measured whatever tileWidth would
+// pick for the host's worker count.
+func BenchmarkTrainJointLanes(b *testing.B) {
+	seqs := benchSeqs(256, 16, 8)
+	for lanes := 1; lanes <= laneWidth; lanes++ {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			m, err := NewAutoencoder(DefaultConfig(8))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := newTrainer(m, 4, 16, lanes)
+			opt := NewAdam(m.Params(), 0.001)
+			r := rand.New(rand.NewSource(1))
+			idx := make([]int, 4)
+			for b.Loop() {
+				for i := range idx {
+					idx[i] = r.Intn(len(seqs))
+				}
+				tr.step(seqs, idx, nil, nil, 0)
+				opt.Step()
+			}
+		})
 	}
 }

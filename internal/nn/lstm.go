@@ -121,6 +121,8 @@ func (s *Stack) Forward(xs [][]float64) (*StackState, [][]float64) {
 
 // ForwardIn runs the stack through reusable scratch, returning the top
 // layer's per-step hidden vectors (aliased into st; treat as read-only).
+//
+//sdam:noalloc
 func (s *Stack) ForwardIn(st *StackState, xs [][]float64) [][]float64 {
 	cur := xs
 	for k, l := range s.layers {
@@ -215,9 +217,12 @@ func (l *LSTM) Forward(xs [][]float64) (*LSTMState, [][]float64) {
 
 // ForwardIn runs the LSTM through reusable scratch. The math is
 // identical to the allocating Forward — only the buffers' lifetimes
-// changed — so results are bit-identical.
+// changed — so results are bit-identical. Each weight matrix is applied
+// with one f64.AxpyRows call per timestep, the same per-row Axpy chain
+// without the per-row call overhead.
+//
+//sdam:noalloc
 func (l *LSTM) ForwardIn(st *LSTMState, xs [][]float64) [][]float64 {
-	H := l.Hidden
 	st.grow(len(xs))
 	st.n = len(xs)
 	h, c := st.h0, st.c0
@@ -235,22 +240,12 @@ func (l *LSTM) ForwardIn(st *LSTMState, xs [][]float64) [][]float64 {
 			copy(pre, xw)
 		} else {
 			copy(pre, l.B.W)
-			for i, xi := range x {
-				if xi == 0 {
-					// Load-bearing row skip: adding a zero row could
-					// flip a -0 accumulator to +0.
-					continue
-				}
-				f64.Axpy(pre, l.Wx.W[i*4*H:(i+1)*4*H], xi)
-			}
+			// AxpyRows skips zero input rows; the skip is load-bearing,
+			// since adding a zero row could flip a -0 accumulator to +0.
+			f64.AxpyRows(l.Wx.W, pre, x)
 			copy(xw, pre)
 		}
-		for i, hi := range h {
-			if hi == 0 {
-				continue
-			}
-			f64.Axpy(pre, l.Wh.W[i*4*H:(i+1)*4*H], hi)
-		}
+		f64.AxpyRows(l.Wh.W, pre, h)
 		f64.LSTMGates(s.i, s.f, s.g, s.o, s.c, s.h, s.tc, pre, c)
 		h, c = s.h, s.c
 		st.outs[t] = s.h

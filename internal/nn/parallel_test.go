@@ -114,8 +114,8 @@ func TestStepScratchZeroAlloc(t *testing.T) {
 }
 
 // genRagged builds sequences whose lengths cycle 4..15, so lockstep
-// groups mix full and partial lanes: timesteps below the group minimum
-// take the dense fused kernels, the ragged tail takes the gather path.
+// tiles mix lanes of different lengths: past a lane's own T, its slot
+// in the dense backward kernels runs on a zero gradient row.
 func genRagged(n, numVIDs int, seed int64) []Sequence {
 	r := rand.New(rand.NewSource(seed))
 	seqs := make([]Sequence, n)
@@ -130,11 +130,10 @@ func genRagged(n, numVIDs int, seed int64) []Sequence {
 }
 
 // TestTrainJointRaggedLanesBitIdentical sweeps batch sizes 1-8 over a
-// ragged-length training set: every lockstep lane count (full groups of
-// four plus remainders of 1-3) and every dense/gather boundary inside a
-// group gets exercised, and the whole trajectory must stay bit-identical
-// between a serial run and an 8-worker run — the same invariant the
-// fused f64 kernels are held to on the equal-length fast path.
+// ragged-length training set, and the whole trajectory must stay
+// bit-identical between a serial run and an 8-worker run. Which lane
+// counts the tiles get depends on the host's GOMAXPROCS; the
+// host-independent per-width oracle is TestLaneTileMatchesScalarStep.
 func TestTrainJointRaggedLanesBitIdentical(t *testing.T) {
 	seqs := genRagged(24, 8, 11)
 	train := func(jobs, batch int) (TrainReport, []*Param) {
