@@ -34,9 +34,10 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# bench smoke: the simulator hot path plus the DL selector's two
-# training-cost benchmarks (the select_ms story lives in internal/f64's
-# lane-fused kernels; TrainJoint isolates the training loop, SelectDL
-# times the whole selection pipeline).
+# bench smoke: the simulator hot path (engine, vm translation, L1
+# cache lookup) plus the DL selector's two training-cost benchmarks
+# (the select_ms story lives in internal/f64's lane-fused kernels;
+# TrainJoint isolates the training loop, SelectDL times the whole
+# selection pipeline).
 bench:
-	$(GO) test -bench='HotPath|TrainJoint|SelectDL' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster
+	$(GO) test -bench='HotPath|TrainJoint|SelectDL' -benchtime=1x -run='^$$' . ./internal/vm ./internal/cache ./internal/nn ./internal/cluster

@@ -1,8 +1,10 @@
-// Package cache models the last-level cache that filters CPU accesses
-// before they reach the memory controller. Only external accesses (LLC
-// misses) matter to SDAM, but modeling the filter matters for realistic
-// miss streams: it is why CPU workloads show smaller gains than
-// accelerators, which have little or no cache in front of memory
+// Package cache models the cache that filters CPU accesses before they
+// reach the memory controller. In production it is each core's private
+// L1 (cpu.CPUConfig: 64 KB, 8-way); cpu.Config can also add a shared
+// level behind it, but CPUConfig has no LLC. Only external accesses
+// (misses) matter to SDAM, but modeling the filter matters for
+// realistic miss streams: it is why CPU workloads show smaller gains
+// than accelerators, which have little or no cache in front of memory
 // (paper §7.4, near-data acceleration discussion).
 package cache
 
@@ -12,16 +14,22 @@ import (
 	"repro/internal/geom"
 )
 
+// dirtyBit marks a modified line in an entry word.
+const dirtyBit = 1 << 63
+
 // Cache is a set-associative, physically-tagged cache with LRU
 // replacement at cache-line granularity. Not safe for concurrent use.
+//
+// All sets live in one word array: set s is words[s*ways : (s+1)*ways],
+// kept in recency order, most recent first. A word holds line+1 (0 is
+// an invalid way) with the dirty flag in bit 63, so lines must be
+// below 2^63-1 — physical line addresses are far smaller. Nothing
+// invalidates a single way, so invalid ways are always the tail of a
+// set and the tail word is always the LRU victim.
 type Cache struct {
-	sets       int
+	words      []uint64
 	ways       int
-	tags       [][]geom.LineAddr
-	valid      [][]bool
-	dirty      [][]bool
-	stamps     [][]uint64
-	clock      uint64
+	mask       uint64 // sets-1; sets is a power of two
 	hits       uint64
 	misses     uint64
 	writebacks uint64
@@ -40,18 +48,7 @@ func New(sizeBytes, ways int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
-	c := &Cache{sets: sets, ways: ways}
-	c.tags = make([][]geom.LineAddr, sets)
-	c.valid = make([][]bool, sets)
-	c.dirty = make([][]bool, sets)
-	c.stamps = make([][]uint64, sets)
-	for s := 0; s < sets; s++ {
-		c.tags[s] = make([]geom.LineAddr, ways)
-		c.valid[s] = make([]bool, ways)
-		c.dirty[s] = make([]bool, ways)
-		c.stamps[s] = make([]uint64, ways)
-	}
-	return c, nil
+	return &Cache{words: make([]uint64, lines), ways: ways, mask: uint64(sets - 1)}, nil
 }
 
 // MustNew is New for static configurations.
@@ -79,51 +76,42 @@ func (c *Cache) Access(line geom.LineAddr) bool {
 //
 //sdam:noalloc
 func (c *Cache) AccessDirty(line geom.LineAddr, dirty bool) (hit bool, victim geom.LineAddr, evicted bool) {
-	c.clock++
-	set := int(uint64(line) % uint64(c.sets))
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == line {
-			c.stamps[set][w] = c.clock
-			if dirty {
-				c.dirty[set][w] = true
+	base := int(uint64(line)&c.mask) * c.ways
+	set := c.words[base : base+c.ways : base+c.ways]
+	tag := uint64(line) + 1
+	var d uint64
+	if dirty {
+		d = dirtyBit
+	}
+	for w, e := range set {
+		if e&^dirtyBit == tag {
+			// Hit: move the line to the front, keeping its dirty bit.
+			for ; w > 0; w-- {
+				set[w] = set[w-1]
 			}
+			set[0] = e | d
 			c.hits++
 			return true, 0, false
 		}
 	}
+	// Miss: the tail is the invalid or least-recently-used way. Only a
+	// valid word can carry the dirty bit.
 	c.misses++
-	// Fill into the invalid or least-recently-used way.
-	v := 0
-	best := c.stamps[set][0]
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[set][w] {
-			v = w
-			break
-		}
-		if c.stamps[set][w] < best {
-			v, best = w, c.stamps[set][w]
-		}
-	}
-	if c.valid[set][v] && c.dirty[set][v] {
-		victim, evicted = c.tags[set][v], true
+	if tail := set[len(set)-1]; tail&dirtyBit != 0 {
+		victim, evicted = geom.LineAddr(tail&^dirtyBit-1), true
 		c.writebacks++
 	}
-	c.tags[set][v] = line
-	c.valid[set][v] = true
-	c.dirty[set][v] = dirty
-	c.stamps[set][v] = c.clock
+	for w := len(set) - 1; w > 0; w-- {
+		set[w] = set[w-1]
+	}
+	set[0] = tag | d
 	return false, victim, evicted
 }
 
 // Reset invalidates all lines and clears counters.
 func (c *Cache) Reset() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-			c.dirty[s][w] = false
-		}
-	}
-	c.clock, c.hits, c.misses, c.writebacks = 0, 0, 0, 0
+	clear(c.words)
+	c.hits, c.misses, c.writebacks = 0, 0, 0
 }
 
 // Writebacks returns how many dirty victims were evicted.
@@ -145,4 +133,4 @@ func (c *Cache) HitRate() float64 {
 }
 
 // SizeBytes returns the cache capacity.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * geom.LineBytes }
+func (c *Cache) SizeBytes() int { return len(c.words) * geom.LineBytes }

@@ -133,7 +133,7 @@ func replaySample(m mapping.Mapping, samples [][]uint32, g geom.Geometry) float6
 		for _, s := range samples {
 			if pos < len(s) {
 				done = false
-				dev.Access(0, g.Decode(geom.Join(0, m.MapOffset(s[pos]))))
+				dev.AccessLine(0, geom.Join(0, m.MapOffset(s[pos])))
 			}
 		}
 		if done {

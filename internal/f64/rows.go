@@ -37,38 +37,6 @@ func AxpyRows(w, dst, xs []float64) {
 	}
 }
 
-// GradRows applies a whole timestep's weight-gradient update for one
-// lane: for each row i, grad[i*width+j] += xs[i]*g[j] at every j with
-// g[j] != 0, width = len(g). Splitting the gradient update off the dot
-// products (DotRows4) is exact: the scalar kernel interleaved them per
-// element, but the two touch disjoint arrays and each target element
-// still receives the same contributions in the same order.
-//
-//sdam:noalloc
-func GradRows(grad, g, xs []float64) {
-	width := len(g)
-	if len(xs) == 0 || width == 0 {
-		return
-	}
-	grad = grad[:len(xs)*width]
-	if useAVX512 {
-		gradRows512(&grad[0], &g[0], &xs[0], len(xs), width)
-		return
-	}
-	if useAsm {
-		gradRowsAVX(&grad[0], &g[0], &xs[0], len(xs), width)
-		return
-	}
-	for i, xi := range xs {
-		row := grad[i*width : (i+1)*width]
-		for j, gj := range g {
-			if gj != 0 {
-				row[j] += xi * gj
-			}
-		}
-	}
-}
-
 // GradRowsT applies `steps` deferred timesteps' weight-gradient
 // updates in one pass over grad: for each row i and column j,
 //
@@ -78,15 +46,18 @@ func GradRows(grad, g, xs []float64) {
 //	    }
 //	}
 //
-// with the slot order s chosen by the caller to match the order the
-// per-timestep GradRows calls would have run. Bit-identical to that
-// sequence: every element receives the same adds in the same order,
-// and holding the running sum in a register instead of storing it
-// back each timestep cannot change rounding because each intermediate
-// store is exact. What it does change is memory traffic — grad is
-// read and written once instead of once per timestep, which is the
+// Slot s holds one timestep's rank-1 update (dPre in gs, the layer
+// input in xs), and the caller lays the slots out in the order the
+// scalar backward pass applies its timesteps, so every element
+// receives the same adds in the same order as that pass. Holding the
+// running sum in a register instead of storing it back each timestep
+// cannot change rounding because each intermediate store is exact.
+// What it does change is memory traffic — grad is read and written
+// once per optimizer step instead of once per timestep, which is the
 // difference between streaming a 32 KB matrix from L2 sixteen times
-// and once per optimizer step.
+// and once. Splitting the gradient update off the dot products
+// (DotRows4) is exact as well: the scalar kernel interleaved them per
+// element, but the two touch disjoint arrays.
 //
 //sdam:noalloc
 func GradRowsT(grad, gs, xs []float64, rows, width, steps int) {
