@@ -35,9 +35,9 @@ race:
 	$(GO) test -race -short ./...
 
 # bench smoke: the simulator hot path (engine, vm translation, L1
-# cache lookup) plus the DL selector's two training-cost benchmarks
-# (the select_ms story lives in internal/f64's lane-fused kernels;
-# TrainJoint isolates the training loop, SelectDL times the whole
-# selection pipeline).
+# cache lookup, the engine's MSHR window) plus the DL selector's two
+# training-cost benchmarks (the select_ms story lives in internal/f64's
+# lane-fused kernels; TrainJoint isolates the training loop, SelectDL
+# times the whole selection pipeline).
 bench:
-	$(GO) test -bench='HotPath|TrainJoint|SelectDL' -benchtime=1x -run='^$$' . ./internal/vm ./internal/cache ./internal/nn ./internal/cluster
+	$(GO) test -bench='HotPath|TrainJoint|SelectDL' -benchtime=1x -run='^$$' . ./internal/vm ./internal/cache ./internal/cpu ./internal/nn ./internal/cluster

@@ -2,9 +2,10 @@
 // out-of-order cores with a bounded miss window (MSHRs) and near-memory
 // accelerators with deep request pipelines. Both are "memory request
 // engines": they pull virtual-address streams from workloads, translate
-// through the process address space, filter through the shared LLC, and
-// issue external accesses to the memory controller, advancing a
-// simulated clock.
+// through the process address space, filter through each core's
+// private L1 (and a shared LLC when one is configured), and issue
+// external accesses to the memory controller, advancing a simulated
+// clock.
 //
 // The performance story the paper tells — SDAM speedups grow with
 // memory-level parallelism and shrink with cache effectiveness — falls
@@ -137,7 +138,7 @@ func AcceleratorConfig(units int) Config {
 type Result struct {
 	TimeNs     float64
 	References uint64
-	External   uint64 // LLC misses issued to memory
+	External   uint64 // cache misses and write-backs issued to memory
 	Writes     uint64 // posted stores among the external accesses
 	Prefetches uint64 // next-line prefetches issued
 	CacheHits  uint64
@@ -224,68 +225,52 @@ func (e *Engine) fillCaches(c int, line geom.LineAddr) {
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// mshrRing tracks the completion times of in-flight misses in a
-// fixed-capacity array kept in binary min-heap order, replacing the old
-// ordered slice whose every full-window eviction paid an O(n) scan plus
-// an O(n) element shift; here insert and evict are O(log n) swaps in
-// one cache line's worth of floats. Only the minimum *value* is
-// observable (it is the stall time, and equal values are
-// indistinguishable), so the internal ordering change keeps results
-// bit-identical.
+// mshrRing tracks the completion times of in-flight misses as an
+// ascending window times[lo:hi] over a backing array of 2×slots floats.
+// evictMin takes times[lo] and advances lo; add shifts larger entries
+// up one slot from the tail, first copying the window back to index 0
+// when hi has reached the end of the array. Miss completions are
+// near-monotone, so most inserts land at or near the tail. Only the
+// minimum *value* and the count are observable (the minimum is the
+// stall time, and equal values are indistinguishable), so results are
+// bit-identical to a first-minimum linear scan of an unordered slice.
 type mshrRing struct {
-	times []float64 // capacity fixed at the MSHR count
+	times  []float64
+	lo, hi int
+	slots  int
 }
 
 func (m *mshrRing) init(slots int) {
-	m.times = make([]float64, 0, slots)
+	*m = mshrRing{times: make([]float64, 2*slots), slots: slots}
 }
 
 // full reports whether a new miss must first evict the earliest one.
-func (m *mshrRing) full() bool { return len(m.times) == cap(m.times) }
+func (m *mshrRing) full() bool { return m.hi-m.lo == m.slots }
 
-// add records a miss completing at t.
+// add records a miss completing at t; the window must not be full.
 //
 //sdam:noalloc
 func (m *mshrRing) add(t float64) {
-	//lint:ignore sdamvet/noalloc full() gates add, so the append stays within the capacity init fixed
-	h := append(m.times, t)
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if h[i] <= h[j] {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+	if m.hi == len(m.times) {
+		m.hi = copy(m.times, m.times[m.lo:m.hi])
+		m.lo = 0
 	}
-	m.times = h
+	w := m.times[m.lo : m.hi+1]
+	j := len(w) - 1
+	for j > 0 && w[j-1] > t {
+		w[j] = w[j-1]
+		j--
+	}
+	w[j] = t
+	m.hi++
 }
 
 // evictMin removes and returns the earliest completion time.
 //
 //sdam:noalloc
 func (m *mshrRing) evictMin() float64 {
-	h := m.times
-	t := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j+1 < n && h[j+1] < h[j] {
-			j++ // smaller child
-		}
-		if h[i] <= h[j] {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	m.times = h
+	t := m.times[m.lo]
+	m.lo++
 	return t
 }
 
@@ -542,11 +527,11 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 			// Next-line prefetches: posted fills launched alongside the miss.
 			for k := 1; k <= e.cfg.PrefetchNext; k++ {
 				pline := line + geom.LineAddr(k)
-				e.fillCaches(c.id, pline)
 				pdone, err := e.ctrl.Access(issue, pline)
 				if err != nil {
 					break // off the end of physical memory: stop prefetching
 				}
+				e.fillCaches(c.id, pline)
 				res.Prefetches++
 				if pdone > c.lastFinish {
 					c.lastFinish = pdone

@@ -3,6 +3,7 @@ package cpu
 import (
 	"testing"
 
+	"repro/internal/amu"
 	"repro/internal/geom"
 	"repro/internal/hbm"
 	"repro/internal/mapping"
@@ -500,5 +501,60 @@ func TestNextLinePrefetcher(t *testing.T) {
 	}
 	if on.TimeNs >= off.TimeNs {
 		t.Fatalf("sequential stream not faster with prefetch: %.0f vs %.0f ns", on.TimeNs, off.TimeNs)
+	}
+}
+
+// TestPrefetchPastMemoryTopLeavesCachesUntouched prefetches past the
+// last line of an SDAM machine's physical memory: the controller
+// refuses the access, so the line must not reach the L1, where it
+// could evict a valid line.
+func TestPrefetchPastMemoryTopLeavesCachesUntouched(t *testing.T) {
+	k := vm.NewKernel(1) // one chunk of physical memory
+	as := k.NewAddressSpace()
+	va, err := as.Mmap(geom.ChunkBytes, 0, "buf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Populate(va); err != nil {
+		t.Fatal(err)
+	}
+	// The page holding the top frame ends at the last line of memory.
+	var top vm.VA
+	var topPA uint64
+	for p := va; p < va+geom.ChunkBytes; p += geom.PageBytes {
+		pa, err := as.Translate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pa >= topPA {
+			top, topPA = p, pa
+		}
+	}
+	if topPA != geom.ChunkBytes-geom.PageBytes {
+		t.Fatalf("top frame at %#x, want %#x", topPA, geom.ChunkBytes-geom.PageBytes)
+	}
+	last := top + geom.PageBytes - geom.LineBytes
+	line, err := as.TranslateLine(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dev := hbm.New(geom.Default(), hbm.DefaultTiming())
+	cfg := CPUConfig(1)
+	cfg.PrefetchNext = 2
+	e := New(cfg, memctrl.NewSDAM(dev, k.Table, amu.New(8)), as)
+	res, err := e.Run([]Stream{&SliceStream{Refs: []Ref{{VA: last}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.External != 1 || res.Prefetches != 0 {
+		t.Fatalf("external=%d prefetches=%d, want 1 and 0", res.External, res.Prefetches)
+	}
+	l1 := e.l1[0]
+	if n := l1.Hits() + l1.Misses(); n != 1 {
+		t.Fatalf("L1 saw %d accesses, want only the demand miss", n)
+	}
+	if l1.Access(line + 1) {
+		t.Fatal("the refused prefetch left its line in the L1")
 	}
 }

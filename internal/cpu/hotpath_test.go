@@ -10,7 +10,7 @@ import (
 
 // linearMSHR is the pre-optimization MSHR window: an insertion-ordered
 // slice, evicting via a first-minimum linear scan plus element shift.
-// It is the behavioral reference the min-heap ring must match.
+// It is the behavioral reference the sorted window must match.
 type linearMSHR struct {
 	outstanding []float64
 	slots       int
@@ -32,7 +32,7 @@ func (l *linearMSHR) evictMin() float64 {
 	return t
 }
 
-// TestMSHRRingMatchesLinearScan drives the min-heap ring and the old
+// TestMSHRRingMatchesLinearScan drives the sorted window and the old
 // linear scan through identical add/evict schedules and requires the
 // evicted values — the only observable output (they set stall times) —
 // to agree exactly.
@@ -100,6 +100,95 @@ func TestMSHRRingRandomizedAgainstLinearScan(t *testing.T) {
 			ref.add(v)
 		}
 	}
+}
+
+// TestMSHRRingWindowAgainstLinearScan holds the sorted window's
+// bookkeeping against the linear scan where it can go wrong: a long
+// near-monotone schedule that copies the window back to the front of
+// its array many times, windows drained to empty and refilled, and a
+// one-slot window.
+func TestMSHRRingWindowAgainstLinearScan(t *testing.T) {
+	// miss adds v the way the engine does, evicting first if full.
+	miss := func(t *testing.T, ring *mshrRing, ref *linearMSHR, v float64) {
+		t.Helper()
+		if ring.full() != ref.full() {
+			t.Fatalf("full()=%v, linear %v", ring.full(), ref.full())
+		}
+		if ring.full() {
+			if got, want := ring.evictMin(), ref.evictMin(); got != want {
+				t.Fatalf("evictMin %v, linear scan %v", got, want)
+			}
+		}
+		ring.add(v)
+		ref.add(v)
+	}
+	drain := func(t *testing.T, ring *mshrRing, ref *linearMSHR) {
+		t.Helper()
+		for len(ref.outstanding) > 0 {
+			if got, want := ring.evictMin(), ref.evictMin(); got != want {
+				t.Fatalf("drain: evictMin %v, linear scan %v", got, want)
+			}
+		}
+		if ring.lo != ring.hi || ring.full() {
+			t.Fatalf("drained window holds %d entries", ring.hi-ring.lo)
+		}
+	}
+
+	t.Run("near-monotone-64", func(t *testing.T) {
+		var ring mshrRing
+		ring.init(64)
+		ref := &linearMSHR{slots: 64}
+		times, _ := mshrSchedule(64, 2000, 0.5, 60)
+		compactions := 0
+		for _, v := range times {
+			if ring.hi == len(ring.times) {
+				compactions++
+			}
+			miss(t, &ring, ref, v)
+		}
+		if compactions < 10 {
+			t.Fatalf("schedule copied the window back %d times, want >= 10", compactions)
+		}
+		drain(t, &ring, ref)
+	})
+
+	t.Run("drain-then-refill", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		var ring mshrRing
+		ring.init(4)
+		ref := &linearMSHR{slots: 4}
+		for round := 0; round < 200; round++ {
+			// Refill with up to twice the window, then evict some or
+			// all of it with no add in between.
+			for k := rng.Intn(9); k > 0; k-- {
+				miss(t, &ring, ref, float64(rng.Intn(10)))
+			}
+			if rng.Intn(2) == 0 {
+				drain(t, &ring, ref)
+				continue
+			}
+			for k := rng.Intn(len(ref.outstanding) + 1); k > 0; k-- {
+				if got, want := ring.evictMin(), ref.evictMin(); got != want {
+					t.Fatalf("round %d: evictMin %v, linear scan %v", round, got, want)
+				}
+			}
+		}
+		drain(t, &ring, ref)
+	})
+
+	t.Run("slots=1", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		var ring mshrRing
+		ring.init(1)
+		ref := &linearMSHR{slots: 1}
+		for op := 0; op < 500; op++ {
+			miss(t, &ring, ref, float64(rng.Intn(20)))
+			if rng.Intn(5) == 0 {
+				drain(t, &ring, ref)
+			}
+		}
+		drain(t, &ring, ref)
+	})
 }
 
 // refHeap drives container/heap over the same ordering, as the
