@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: lint lint-json docs build test race bench
+.PHONY: lint lint-json docs build test race fuzz bench
 
 # lint is the one gate for static checks: gofmt over the tracked Go
 # files, go vet, and the repository's own determinism & concurrency
-# suite (cmd/sdamvet, 9 rules — see `go run ./cmd/sdamvet -list`).
+# suite (cmd/sdamvet, 8 rules — see `go run ./cmd/sdamvet -list`).
 lint:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
@@ -33,6 +33,13 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# fuzz smoke: 10 s of coverage-guided fuzzing per artifact loader (the
+# profile and trace-file formats read from disk). go test fuzzes one
+# package per call.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/profile
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/tracefile
 
 # bench smoke: the simulator hot path (engine, vm translation, L1
 # cache lookup, the engine's MSHR window) plus the DL selector's two

@@ -58,7 +58,6 @@ func NewAnalyzers() []Analyzer {
 		newCloneSafety(),
 		newSlotWrite(),
 		newNoAlloc(),
-		newPoolPair(),
 		newTapeMut(),
 		newPkgDoc(),
 	}
@@ -95,21 +94,7 @@ func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 	}
 	diags = append(diags, unusedSuppressions(sup, active)...)
 	sortDiagnostics(diags)
-	return dedupDiagnostics(diags)
-}
-
-// dedupDiagnostics drops exact duplicates from a sorted slice — an
-// interprocedural analyzer (poolpair) can rediscover the same finding
-// once per related call site.
-func dedupDiagnostics(diags []Diagnostic) []Diagnostic {
-	out := diags[:0]
-	for i, d := range diags {
-		if i > 0 && d == diags[i-1] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	return diags
 }
 
 // Pass hands one type-checked package to an analyzer.

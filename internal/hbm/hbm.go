@@ -88,7 +88,6 @@ type Device struct {
 	bankBusy    []float64 // per (ch,bank): last transfer completion
 	colReady    []float64 // per (ch,bank): earliest next column command
 	openRow     []int32   // per (ch,bank) open row
-	backing     []float64 // the one allocation behind the float planes
 
 	stats Stats
 }
@@ -130,47 +129,23 @@ func (d *Device) Decode(l geom.LineAddr) geom.HardwareAddress { return d.dec.Dec
 // Timing returns the device timing.
 func (d *Device) Timing() Timing { return d.timing }
 
-// Reset clears all bank state and statistics. The backing arrays are
-// reused when already sized (the device-pool path), so a pooled device
-// resets with zero allocations.
-//
-//sdam:noalloc
+// Reset clears all bank state and statistics.
 func (d *Device) Reset() {
 	g := d.geom
 	nb := g.Channels * g.Banks
-	need := 2*g.Channels + 2*nb
-	if cap(d.backing) < need {
-		d.backing = make([]float64, need)
-	}
-	b := d.backing[:need]
-	clear(b)
+	b := make([]float64, 2*g.Channels+2*nb)
 	d.busFree = b[:g.Channels:g.Channels]
 	d.nextRefresh = b[g.Channels : 2*g.Channels : 2*g.Channels]
 	d.bankBusy = b[2*g.Channels : 2*g.Channels+nb : 2*g.Channels+nb]
-	d.colReady = b[2*g.Channels+nb : need : need]
-	if cap(d.openRow) < nb {
-		d.openRow = make([]int32, nb)
-	}
-	d.openRow = d.openRow[:nb]
+	d.colReady = b[2*g.Channels+nb:]
+	d.openRow = make([]int32, nb)
 	for i := range d.openRow {
 		d.openRow[i] = -1
 	}
 	for c := range d.nextRefresh {
 		d.nextRefresh[c] = d.timing.TREFI
 	}
-	cb := d.stats.ChannelBytes
-	if cap(cb) < g.Channels {
-		cb = make([]uint64, g.Channels)
-	}
-	cb = cb[:g.Channels]
-	clear(cb)
-	busy := d.stats.ChannelBusy
-	if cap(busy) < g.Channels {
-		busy = make([]float64, g.Channels)
-	}
-	busy = busy[:g.Channels]
-	clear(busy)
-	d.stats = Stats{ChannelBytes: cb, ChannelBusy: busy}
+	d.stats = Stats{ChannelBytes: make([]uint64, g.Channels), ChannelBusy: make([]float64, g.Channels)}
 }
 
 // Access issues one 64 B line access to hardware address ha arriving at

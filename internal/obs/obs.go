@@ -28,7 +28,7 @@
 //     schema-versioned JSON (SnapshotSchema) — the -metrics flag on
 //     cmd/sdamsim and cmd/sdambench, and the package API tests assert
 //     counter invariants against ("selection cache hit ⇒ zero optimizer
-//     steps", "pool Acquire/Release balanced").
+//     steps").
 //
 // Everything is disabled by default. The zero-overhead-when-disabled
 // argument is DESIGN.md §15; the metric and span catalog is

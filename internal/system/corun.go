@@ -81,7 +81,6 @@ func CoRun(ws []workload.Workload, opts Options) (Result, error) {
 	default:
 		m = bootSDAM(o)
 	}
-	defer releaseMachine(m)
 
 	// Set each workload up in its own process, installing selections
 	// into the shared CMT (exhausting the 256 slots is a real error the

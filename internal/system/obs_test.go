@@ -14,10 +14,10 @@ import (
 
 // These tests are the package-API leg of the observability layer: the
 // same counters the -metrics flag serializes are asserted as run
-// invariants ("a selection cache hit performs zero optimizer steps",
-// "every pooled device acquired is released"), and the Deterministic
-// snapshot of a fixed sweep is pinned byte-stable — the golden contract
-// behind committing -metrics output as a CI artifact.
+// invariants ("a selection cache hit performs zero optimizer steps"),
+// and the Deterministic snapshot of a fixed sweep is pinned byte-stable
+// — the golden contract behind committing -metrics output as a CI
+// artifact.
 
 // resetObsState puts the process-wide caches and the default registry
 // into fresh-process state so counter values are a function of the work
@@ -33,12 +33,10 @@ func resetObsState(t *testing.T) {
 }
 
 // obsFreshProcess clears every cross-run cache a counter value could
-// leak through. The HBM device pool intentionally survives (sync.Pool
-// cannot be drained deterministically), which is why hbm.pool_news is
-// registered Host() and excluded from deterministic snapshots.
+// leak through.
 func obsFreshProcess() {
-	resetSelectionCache()
-	resetProfileCache()
+	selections.Reset()
+	profiles.Reset()
 	tape.ResetCache()
 	obs.Reset()
 }
@@ -100,26 +98,6 @@ func TestObsSelectionCacheHitZeroTrainSteps(t *testing.T) {
 	}
 }
 
-// TestObsPoolAcquireReleaseBalanced pins the pooled-device lifecycle:
-// after a Compare sweep quiesces, every hbm.Acquire has a matching
-// hbm.Release (the PR 6 pooled-device leak class).
-func TestObsPoolAcquireReleaseBalanced(t *testing.T) {
-	resetObsState(t)
-	_, err := Compare(obsTestWorkload(), obsTestOptions, []Kind{BSDM, SDMBSM, SDMBSMML})
-	if err != nil {
-		t.Fatalf("Compare: %v", err)
-	}
-	s := obs.Default.Snapshot()
-	acq := counterValue(t, s, "hbm.pool_acquires")
-	rel := counterValue(t, s, "hbm.pool_releases")
-	if acq == 0 {
-		t.Fatal("sweep acquired no pooled devices; instrumentation is dead")
-	}
-	if acq != rel {
-		t.Fatalf("device pool unbalanced: %d acquires vs %d releases", acq, rel)
-	}
-}
-
 // TestObsDeterministicSnapshotByteStable is the golden test behind the
 // -metrics artifact: the Deterministic() snapshot of a fixed sweep,
 // rerun from fresh-process state, must serialize to identical bytes —
@@ -152,7 +130,7 @@ func TestObsDeterministicSnapshotByteStable(t *testing.T) {
 			t.Fatalf("snapshot missing %s:\n%s", name, one)
 		}
 	}
-	for _, dropped := range []string{`"parallel.busy_ns"`, `"hbm.pool_news"`, `"parallel.width"`} {
+	for _, dropped := range []string{`"parallel.busy_ns"`, `"parallel.width"`} {
 		if bytes.Contains(one, []byte(dropped)) {
 			t.Fatalf("host-dependent metric %s survived Deterministic():\n%s", dropped, one)
 		}

@@ -1,10 +1,11 @@
 package system
 
 import (
-	"sync"
+	"unsafe"
 
 	"repro/internal/cpu"
 	"repro/internal/geom"
+	"repro/internal/memo"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -32,23 +33,20 @@ type profKey struct {
 	hbmScale float64
 }
 
-// profEntry is one singleflight slot, mirroring selEntry.
-type profEntry struct {
-	once sync.Once
+// profiled is one memoized pass: the profile and the collector behind it.
+type profiled struct {
 	prof profile.Profile
 	col  *trace.Collector
-	err  error
 }
 
-var profCache sync.Map // profKey → *profEntry
+// maxProfileBytes bounds the retained profiles. A collector holds up to
+// 1M delta samples (16 MiB) plus its variables' offset samples; every
+// built-in sweep retains well under the bound.
+const maxProfileBytes = 256 << 20
 
-// resetProfileCache drops every memoized profiling pass (tests).
-func resetProfileCache() {
-	profCache.Range(func(k, _ any) bool {
-		profCache.Delete(k)
-		return true
-	})
-}
+var profiles = memo.New[profKey](maxProfileBytes, func(p profiled) int64 {
+	return p.col.Bytes() + int64(len(p.prof.Vars))*int64(unsafe.Sizeof(profile.VarProfile{}))
+})
 
 // cachedProfile returns the profiling pass for (w, o), running it at
 // most once per process per content key. o must already have defaults
@@ -65,21 +63,14 @@ func cachedProfile(w workload.Workload, o Options) (profile.Profile, *trace.Coll
 		geom:     o.Geometry,
 		hbmScale: o.HBMScale,
 	}
-	e, _ := profCache.LoadOrStore(key, &profEntry{})
-	entry := e.(*profEntry)
-	computed := false
-	entry.once.Do(func() {
-		computed = true
-		entry.prof, entry.col, entry.err = profileFresh(w, o)
+	p, hit, err := profiles.Get(key, func() (profiled, error) {
+		prof, col, err := profileFresh(w, o)
+		return profiled{prof, col}, err
 	})
-	if computed {
-		statProfMiss.Add(1)
-		if entry.err != nil {
-			// Failures are never memoized (see cachedSelection).
-			profCache.CompareAndDelete(key, entry)
-		}
-	} else {
+	if hit {
 		statProfHits.Add(1)
+	} else {
+		statProfMiss.Add(1)
 	}
-	return entry.prof, entry.col, entry.err
+	return p.prof, p.col, err
 }

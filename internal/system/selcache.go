@@ -2,10 +2,12 @@ package system
 
 import (
 	"fmt"
-	"sync"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
+	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -33,23 +35,15 @@ type selKey struct {
 	deltaFP  uint64
 }
 
-// selEntry is one singleflight slot: the first arrival computes, every
-// other caller of the same key waits on the Once and shares the result.
-type selEntry struct {
-	once sync.Once
-	sel  *cluster.Selection
-	err  error
-}
+// maxSelectionBytes bounds the retained selections; one is a few KiB.
+const maxSelectionBytes = 64 << 20
 
-var selCache sync.Map // selKey → *selEntry
-
-// resetSelectionCache drops every memoized selection (tests).
-func resetSelectionCache() {
-	selCache.Range(func(k, _ any) bool {
-		selCache.Delete(k)
-		return true
-	})
-}
+var selections = memo.New[selKey](maxSelectionBytes, func(s *cluster.Selection) int64 {
+	// Each variable costs a VarMapping and a VarCluster map entry (a
+	// key and a word-sized value each).
+	return int64(unsafe.Sizeof(*s)) + 32*int64(len(s.VarMapping)) +
+		int64(len(s.ClusterMappings))*int64(unsafe.Sizeof(mapping.Shuffle{}))
+})
 
 // cachedSelection returns the selection for o.Kind on the given profile
 // and delta trace, computing it at most once per process per content
@@ -67,11 +61,7 @@ func cachedSelection(o Options, prof profile.Profile, deltas []trace.DeltaSample
 		key.dl = o.DL
 		key.deltaFP = profile.FingerprintDeltas(deltas)
 	}
-	e, _ := selCache.LoadOrStore(key, &selEntry{})
-	entry := e.(*selEntry)
-	computed := false
-	entry.once.Do(func() {
-		computed = true
+	sel, hit, err := selections.Get(key, func() (*cluster.Selection, error) {
 		defer obs.Span2("select", o.Kind.String()).End()
 		var s cluster.Selection
 		var err error
@@ -85,20 +75,12 @@ func cachedSelection(o Options, prof profile.Profile, deltas []trace.DeltaSample
 		default:
 			err = fmt.Errorf("system: %s selects no per-variable mapping", o.Kind)
 		}
-		entry.sel, entry.err = &s, err
+		return &s, err
 	})
-	// A caller whose once.Do ran the computation is the miss; everyone
-	// else — including waiters that blocked on that first computation —
-	// was served by the cache. Failures are never memoized: the
-	// computing caller drops its errored entry, so waiters already
-	// holding it share the error and later callers recompute.
-	if computed {
-		statSelMiss.Add(1)
-		if entry.err != nil {
-			selCache.CompareAndDelete(key, entry)
-		}
-	} else {
+	if hit {
 		statSelHits.Add(1)
+	} else {
+		statSelMiss.Add(1)
 	}
-	return entry.sel, entry.err
+	return sel, err
 }

@@ -18,7 +18,7 @@ import (
 // trainer's step counter is the observable: zero additional training
 // steps on the second pass.
 func TestSelectionCacheSkipsRetraining(t *testing.T) {
-	resetSelectionCache()
+	selections.Reset()
 	mk := func() workload.Workload { return apps.NewKMeansApp(apps.Options{MaxRefs: 6_000}) }
 	opts := Options{
 		Clusters: 3,
@@ -56,7 +56,7 @@ func TestSelectionCacheSkipsRetraining(t *testing.T) {
 // misses the cache: a different cluster budget must retrain rather than
 // reuse the previous selection.
 func TestSelectionCacheKeyDiscriminates(t *testing.T) {
-	resetSelectionCache()
+	selections.Reset()
 	mk := func() workload.Workload { return apps.NewKMeansApp(apps.Options{MaxRefs: 6_000}) }
 	dl := cluster.DLOptions{SeqLen: 8, Steps: 24, MaxWindows: 16}
 
@@ -82,9 +82,7 @@ func TestSelectionCacheForgetsFailures(t *testing.T) {
 		if _, err := cachedSelection(o, profile.Profile{}, nil); err == nil {
 			t.Fatalf("call %d: BSDM selection succeeded, want an error", call)
 		}
-		entries := 0
-		selCache.Range(func(_, _ any) bool { entries++; return true })
-		if entries != 0 {
+		if entries := selections.Stats().Entries; entries != 0 {
 			t.Fatalf("call %d: %d cache entries after a failed selection, want 0", call, entries)
 		}
 	}

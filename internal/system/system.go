@@ -148,11 +148,9 @@ type machine struct {
 	ctrl   *memctrl.Controller
 }
 
-// bootGlobal builds a machine with a fixed global mapping. Devices come
-// from the hbm pool; the machine's owner must hand them back with
-// releaseMachine once done with m.dev.
+// bootGlobal builds a machine with a fixed global mapping.
 func bootGlobal(o Options, m mapping.Mapping) *machine {
-	dev := hbm.Acquire(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
+	dev := hbm.New(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
 	k := vm.NewKernel(o.Geometry.Chunks())
 	as := k.NewAddressSpace()
 	return &machine{kernel: k, as: as, heap: heap.New(as), dev: dev, ctrl: memctrl.NewGlobal(dev, m)}
@@ -160,17 +158,10 @@ func bootGlobal(o Options, m mapping.Mapping) *machine {
 
 // bootSDAM builds a machine with the CMT+AMU datapath.
 func bootSDAM(o Options) *machine {
-	dev := hbm.Acquire(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
+	dev := hbm.New(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
 	k := vm.NewKernel(o.Geometry.Chunks())
 	as := k.NewAddressSpace()
 	return &machine{kernel: k, as: as, heap: heap.New(as), dev: dev, ctrl: memctrl.NewSDAM(dev, k.Table, amu.New(8))}
-}
-
-// releaseMachine returns the machine's pooled resources. Callers must
-// have copied any device statistics first (hbm.Stats() deep-copies).
-func releaseMachine(m *machine) {
-	hbm.Release(m.dev)
-	m.dev = nil
 }
 
 // runOn executes the workload on a machine with the given mapping
@@ -206,7 +197,6 @@ func profileFresh(w workload.Workload, o Options) (profile.Profile, *trace.Colle
 	defer obs.Span2("profile", w.Name()).End()
 	statProfPass.Add(1)
 	m := bootGlobal(o, mapping.Identity{})
-	defer releaseMachine(m)
 	col := trace.NewCollector(0)
 	if _, err := runOn(m, w, o, o.ProfileSeed, nil, col); err != nil {
 		return profile.Profile{}, nil, fmt.Errorf("system: profiling pass: %w", err)
@@ -244,8 +234,7 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 		res.Selection = sel
 	}
 
-	// Evaluation pass on a fresh machine (pooled device, returned after
-	// the integrity checks below; Stats() deep-copies first).
+	// Evaluation pass on a fresh machine.
 	var m *machine
 	var policy func(site string) int
 	switch o.Kind {
@@ -258,11 +247,8 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 	default:
 		m = bootSDAM(o)
 	}
-	defer releaseMachine(m)
 	if o.Kind != BSDM && o.Kind != BSBSM && o.Kind != BSHM {
 		// Install each cluster's mapping once and route sites to IDs.
-		// This runs after the defer above: an install error must still
-		// return the booted machine's device to the pool.
 		siteID, err := installSelection(m.kernel, prof, sel)
 		if err != nil {
 			return res, err

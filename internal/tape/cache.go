@@ -1,26 +1,27 @@
 package tape
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/wallclock"
 	"repro/internal/workload"
 )
 
-// The process-wide tape cache. A sweep's cells arrive keyed by
-// {workload.TapeKey, seed}; the first arrival generates the streams
-// live and records them, everyone else blocks until the tape is stored
-// in the map and then replays it read-only. Results are bit-identical
-// either way — replay emits the recorded sequence, and the recording
-// cell's engine consumed exactly that sequence — so bit-identity at any
-// -jobs count is preserved by construction.
+// The process-wide tape cache, a memo.Memo keyed by {workload.TapeKey,
+// seed}: the first cell of a key generates the streams live and records
+// them, concurrent cells of the key wait for the recording, and every
+// later cell replays it read-only. Results are bit-identical either way
+// — replay emits the recorded sequence, and the recording cell's engine
+// consumed exactly that sequence — so bit-identity at any -jobs count is
+// preserved by construction.
 //
-// The cache is bounded: once maxCacheBytes of columns are retained, new
-// keys build and run live without caching (a safety valve for unbounded
-// sweeps over distinct workloads; every built-in sweep fits comfortably).
+// The cache is bounded: a tape whose columns would push the retained
+// total past maxCacheBytes is replayed by the cells that waited for it
+// and then dropped (a safety valve for unbounded sweeps over distinct
+// workloads; every built-in sweep fits comfortably).
 
 // maxCacheBytes bounds the total retained column bytes.
 const maxCacheBytes = 256 << 20
@@ -31,20 +32,9 @@ type cacheKey struct {
 	seed int64
 }
 
-// cacheEntry is one singleflight slot: done closes when tape (or err)
-// is set; waiters block on it.
-type cacheEntry struct {
-	done chan struct{}
-	tape *Tape
-	err  error
-}
-
 var (
-	cache      sync.Map // cacheKey → *cacheEntry
-	cacheBytes atomic.Int64
+	tapes = memo.New[cacheKey](maxCacheBytes, func(t *Tape) int64 { return int64(t.Bytes()) })
 
-	statBuilds  atomic.Int64
-	statHits    atomic.Int64
 	statLive    atomic.Int64
 	statBuildNs atomic.Int64
 )
@@ -64,7 +54,7 @@ var (
 type Stats struct {
 	// Builds counts tapes recorded; Hits counts cells served a shared
 	// tape they did not build; Live counts cells that bypassed the cache
-	// (no TapeKey, incompatible layout, or byte budget exhausted).
+	// (no TapeKey, or a layout the tape cannot be replayed under).
 	Builds, Hits, Live int64
 	// BuildNs is the cumulative host time spent recording tapes — the
 	// "tape build" half of the sdambench schema-3 split.
@@ -75,25 +65,20 @@ type Stats struct {
 
 // CacheStats returns a snapshot of the process-wide cache counters.
 func CacheStats() Stats {
+	m := tapes.Stats()
 	return Stats{
-		Builds:  statBuilds.Load(),
-		Hits:    statHits.Load(),
+		Builds:  m.Misses,
+		Hits:    m.Hits,
 		Live:    statLive.Load(),
 		BuildNs: statBuildNs.Load(),
-		Bytes:   cacheBytes.Load(),
+		Bytes:   m.Bytes,
 	}
 }
 
 // ResetCache drops every cached tape and zeroes the counters (tests and
 // memory-sensitive callers).
 func ResetCache() {
-	cache.Range(func(k, _ any) bool {
-		cache.Delete(k)
-		return true
-	})
-	cacheBytes.Store(0)
-	statBuilds.Store(0)
-	statHits.Store(0)
+	tapes.Reset()
 	statLive.Store(0)
 	statBuildNs.Store(0)
 }
@@ -105,16 +90,18 @@ func ResetCache() {
 // cannot be replayed under — falls back to live generation, emitting
 // the identical sequence either way.
 func StreamsFor(w workload.Workload, seed int64, lay *Layout) []cpu.Stream {
-	k, ok := w.(workload.TapeKeyer)
-	if !ok {
-		statLive.Add(1)
-		obsLive.Add(1)
-		return w.Streams(seed)
-	}
-	t := tapeFor(cacheKey{key: k.TapeKey(), seed: seed}, w, seed, lay)
-	if t != nil {
-		if ss, err := t.Streams(lay); err == nil {
-			return ss
+	if k, ok := w.(workload.TapeKeyer); ok {
+		key := cacheKey{key: k.TapeKey(), seed: seed}
+		t, hit, err := tapes.Get(key, func() (*Tape, error) { return record(key.key, w, seed, lay), nil })
+		if err == nil {
+			if hit {
+				obsHits.Add(1)
+			} else {
+				obsBytes.SetMax(tapes.Stats().Bytes)
+			}
+			if ss, err := t.Streams(lay); err == nil {
+				return ss
+			}
 		}
 	}
 	statLive.Add(1)
@@ -122,58 +109,16 @@ func StreamsFor(w workload.Workload, seed int64, lay *Layout) []cpu.Stream {
 	return w.Streams(seed)
 }
 
-// tapeFor returns the shared tape for key, recording it on first
-// arrival, or nil when the cache declined (budget) or the build failed.
-func tapeFor(key cacheKey, w workload.Workload, seed int64, lay *Layout) *Tape {
-	for {
-		if e, ok := cache.Load(key); ok {
-			entry := e.(*cacheEntry)
-			<-entry.done
-			if entry.err != nil {
-				// The builder failed; its entry is already deleted, so a
-				// retry below may rebuild. This cell just runs live.
-				return nil
-			}
-			statHits.Add(1)
-			obsHits.Add(1)
-			return entry.tape
-		}
-		if cacheBytes.Load() >= maxCacheBytes {
-			return nil
-		}
-		entry := &cacheEntry{done: make(chan struct{})}
-		if _, raced := cache.LoadOrStore(key, entry); raced {
-			continue // someone else claimed the slot; wait on theirs
-		}
-		func() {
-			defer func() {
-				if entry.tape == nil && entry.err == nil {
-					entry.err = errBuildPanic
-				}
-				if entry.err != nil {
-					cache.Delete(key)
-				}
-				close(entry.done)
-			}()
-			sp := obs.Span2("tape", key.key)
-			start := wallclock.Now()
-			t := Record(w.Streams(seed), *lay)
-			sp.End()
-			buildNs := wallclock.Since(start).Nanoseconds()
-			statBuildNs.Add(buildNs)
-			statBuilds.Add(1)
-			obsBuildNs.Add(buildNs)
-			obsBuilds.Add(1)
-			obsBytes.SetMax(cacheBytes.Add(int64(t.Bytes())))
-			entry.tape = t
-		}()
-		return entry.tape
-	}
+// record generates w's streams at seed live and records them under lay;
+// name labels the span.
+func record(name string, w workload.Workload, seed int64, lay *Layout) *Tape {
+	sp := obs.Span2("tape", name)
+	start := wallclock.Now()
+	t := Record(w.Streams(seed), *lay)
+	sp.End()
+	buildNs := wallclock.Since(start).Nanoseconds()
+	statBuildNs.Add(buildNs)
+	obsBuildNs.Add(buildNs)
+	obsBuilds.Add(1)
+	return t
 }
-
-// errBuildPanic marks an entry whose builder unwound without a result.
-var errBuildPanic = panicError{}
-
-type panicError struct{}
-
-func (panicError) Error() string { return "tape: recording did not complete" }

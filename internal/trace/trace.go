@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/mapping"
@@ -238,6 +239,17 @@ func (c *Collector) Variables() []*Variable { return c.vars }
 
 // Deltas returns the retained delta sequence.
 func (c *Collector) Deltas() []DeltaSample { return c.deltas }
+
+// Bytes estimates the heap the collector retains: the delta sequence
+// plus each variable's record and offset sample. The interval and site
+// tables are small next to those and are left out.
+func (c *Collector) Bytes() int64 {
+	n := int64(cap(c.deltas)) * int64(unsafe.Sizeof(DeltaSample{}))
+	for _, v := range c.vars {
+		n += int64(unsafe.Sizeof(*v)) + 4*int64(cap(v.Sample))
+	}
+	return n
+}
 
 // GlobalBFRV returns the flip-rate vector of the entire external access
 // stream, the input to the BS+BSM baseline's one-global-mapping choice.

@@ -189,8 +189,7 @@ func (m *Machine) Stats() MemStats {
 	}
 }
 
-// ResetStats clears the device statistics (bank state included) without
-// touching allocations.
+// ResetStats clears the device statistics, bank state included.
 func (m *Machine) ResetStats() { m.dev.Reset(); m.now = 0 }
 
 // Describe summarizes the machine configuration.
