@@ -1,7 +1,7 @@
 // Command sdamdocs checks the repository's documentation against the
 // code, so the docs cannot silently drift the way the pre-PR-10 README
 // had (flag tables missing -baseline-select-tol and -cpuprofile, stale
-// package counts). Three checks, all stdlib:
+// package counts). Four checks, all stdlib:
 //
 //   - Every relative markdown link in every tracked *.md file must
 //     resolve to an existing file (fenced code blocks and inline code
@@ -21,6 +21,13 @@
 //   - DESIGN.md's numbered sections ("## N." / "## Na.") must be in
 //     monotonic order with no duplicates — the numbering README and
 //     CHANGES.md cite by "§N".
+//
+//   - The tables under "## Metric catalog" in docs/OBSERVABILITY.md
+//     must name exactly the metrics the code registers — both
+//     directions. Registrations are the string-literal first arguments
+//     of obs.NewCounter / NewGauge / NewHistogram in non-test Go files
+//     outside testdata (go/ast again); a non-literal name is itself a
+//     finding, since it cannot be checked.
 //
 // Exit status 1 with file:line findings when anything is off; CI runs
 // it via `make docs`.
@@ -73,6 +80,12 @@ func main() {
 		}
 	}
 	findings = append(findings, checkDesignNumbering(root)...)
+	catalog, err := checkMetricCatalog(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sdamdocs:", err)
+		os.Exit(2)
+	}
+	findings = append(findings, catalog...)
 	sort.Strings(findings)
 	for _, f := range findings {
 		fmt.Println(f)
@@ -186,10 +199,8 @@ func flagsInDir(dir string) ([]string, error) {
 				if !ok || idx >= len(call.Args) {
 					return true
 				}
-				if lit, ok := call.Args[idx].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					if name, err := strconv.Unquote(lit.Value); err == nil {
-						seen[name] = true
-					}
+				if name, ok := stringLit(call.Args[idx]); ok {
+					seen[name] = true
 				}
 				return true
 			})
@@ -201,6 +212,16 @@ func flagsInDir(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// stringLit returns the value of a string literal expression.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
 
 var (
@@ -348,6 +369,117 @@ func checkDesignNumbering(root string) []string {
 	}
 	if !seen {
 		findings = append(findings, "DESIGN.md: no numbered sections found")
+	}
+	return findings
+}
+
+// obsRegistrars are the obs constructors whose first argument names a
+// metric.
+var obsRegistrars = map[string]bool{"NewCounter": true, "NewGauge": true, "NewHistogram": true}
+
+// observabilityDoc is the metric catalog's home, relative to the root.
+const observabilityDoc = "docs/OBSERVABILITY.md"
+
+// checkMetricCatalog compares the metrics the code registers with the
+// ones docs/OBSERVABILITY.md's catalog lists.
+func checkMetricCatalog(root string) ([]string, error) {
+	registered, findings, err := registeredMetrics(root)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(observabilityDoc)))
+	if err != nil {
+		return nil, err
+	}
+	return append(findings, compareCatalog(registered, catalogMetrics(string(doc)))...), nil
+}
+
+// registeredMetrics maps every metric name registered in root's
+// non-test Go files (outside testdata and hidden directories) to its
+// first registration's file:line, plus a finding per non-literal name.
+func registeredMetrics(root string) (map[string]string, []string, error) {
+	names := make(map[string]string)
+	var findings []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !obsRegistrars[sel.Sel.Name] {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "obs" {
+				return true
+			}
+			pos := fset.Position(call.Pos())
+			rel, _ := filepath.Rel(root, pos.Filename)
+			where := fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)
+			name, ok := stringLit(call.Args[0])
+			if !ok {
+				findings = append(findings, fmt.Sprintf("%s: obs.%s name is not a string literal, so %s cannot be checked against it", where, sel.Sel.Name, observabilityDoc))
+				return true
+			}
+			if _, dup := names[name]; !dup {
+				names[name] = where
+			}
+			return true
+		})
+		return nil
+	})
+	return names, findings, err
+}
+
+var catalogRowRe = regexp.MustCompile("^\\s*\\|\\s*`([^`]+)`")
+
+// catalogMetrics maps each metric named in the first column of a table
+// row under the "## Metric catalog" heading to its 1-based line.
+func catalogMetrics(doc string) map[string]int {
+	names := make(map[string]int)
+	in := false
+	for i, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in = strings.TrimSpace(line) == "## Metric catalog"
+			continue
+		}
+		if m := catalogRowRe.FindStringSubmatch(line); in && m != nil {
+			names[m[1]] = i + 1
+		}
+	}
+	return names
+}
+
+// compareCatalog reports registered metrics the catalog lacks and
+// catalog rows no code registers.
+func compareCatalog(registered map[string]string, documented map[string]int) []string {
+	var findings []string
+	for _, name := range sortedKeys(registered) {
+		if _, ok := documented[name]; !ok {
+			findings = append(findings, fmt.Sprintf("%s: metric catalog is missing %s (registered at %s)", observabilityDoc, name, registered[name]))
+		}
+	}
+	for _, name := range sortedKeys(documented) {
+		if _, ok := registered[name]; !ok {
+			findings = append(findings, fmt.Sprintf("%s:%d: metric catalog lists %s, which no code registers", observabilityDoc, documented[name], name))
+		}
 	}
 	return findings
 }

@@ -6,7 +6,7 @@
 // randomness inside deterministic simulation paths, struct fields
 // accessed both atomically and plainly (the cmt.Table.Reads race), and
 // shared workloads mutated inside parallel.Map thunks without going
-// through workload.Cloner.
+// through Workload.Clone.
 //
 // The engine type-checks every package it analyzes, resolving
 // module-local imports recursively from source (see Loader), so the

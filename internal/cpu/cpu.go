@@ -63,10 +63,6 @@ func (s *SliceStream) NextBatch(buf []Ref) int {
 	return n
 }
 
-// Reset rewinds the stream so it can be replayed without re-cloning the
-// workload that produced it.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
 // Config sizes one engine.
 type Config struct {
 	Name string

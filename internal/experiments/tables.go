@@ -7,42 +7,13 @@ import (
 	"repro/internal/amu"
 	"repro/internal/cluster"
 	"repro/internal/cmt"
-	"repro/internal/cpu"
 	"repro/internal/geom"
-	"repro/internal/hbm"
-	"repro/internal/heap"
-	"repro/internal/mapping"
-	"repro/internal/memctrl"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/profile"
-	"repro/internal/trace"
-	"repro/internal/vm"
+	"repro/internal/system"
 	"repro/internal/workload"
 )
-
-// profileProxy runs one proxy on the baseline system with the profiler
-// attached and returns its profile and collector.
-func profileProxy(name string, refs int) (profile.Profile, *trace.Collector, error) {
-	p, err := workload.NewProxyByName(name, workload.ProxyOptions{Refs: refs, MaxMinorVars: 256})
-	if err != nil {
-		return profile.Profile{}, nil, err
-	}
-	dev := hbm.New(geom.Default(), hbm.DefaultTiming())
-	k := vm.NewKernel(geom.Default().Chunks())
-	as := k.NewAddressSpace()
-	col := trace.NewCollector(0)
-	env := &workload.Env{AS: as, Heap: heap.New(as), Collector: col}
-	if err := p.Setup(env); err != nil {
-		return profile.Profile{}, nil, err
-	}
-	eng := cpu.New(cpu.CPUConfig(4), memctrl.NewGlobal(dev, mapping.Identity{}), as)
-	eng.Collector = col
-	if _, err := eng.Run(p.Streams(1)); err != nil {
-		return profile.Profile{}, nil, err
-	}
-	return profile.FromCollector(name, col), col, nil
-}
 
 // Table1 regenerates the variable-level statistics summary by profiling
 // every proxy and comparing against the published targets that
@@ -60,7 +31,8 @@ func Table1(s Scale) (*Report, error) {
 	// One independent profiling run per proxy: fan out, then fill the
 	// table rows in Table 1 order.
 	profs, err := parallel.Map(targets, func(_ int, t workload.Table1Target) (profile.Profile, error) {
-		prof, _, err := profileProxy(t.Name, refs)
+		p := workload.NewProxy(t, workload.ProxyOptions{Refs: refs, MaxMinorVars: 256})
+		prof, _, err := system.Profile(p, system.Options{})
 		if err != nil {
 			return prof, fmt.Errorf("table1 %s: %w", t.Name, err)
 		}
@@ -113,7 +85,11 @@ func Fig13(s Scale) (*Report, error) {
 	}
 	rows, err := parallel.Map(names, func(_ int, name string) (fig13Row, error) {
 		var row fig13Row
-		prof, col, err := profileProxy(name, refs)
+		p, err := workload.NewProxyByName(name, workload.ProxyOptions{Refs: refs, MaxMinorVars: 256})
+		if err != nil {
+			return row, err
+		}
+		prof, col, err := system.Profile(p, system.Options{})
 		if err != nil {
 			return row, err
 		}

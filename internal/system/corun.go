@@ -101,7 +101,11 @@ func CoRun(ws []workload.Workload, opts Options) (Result, error) {
 		if err := w.Setup(env); err != nil {
 			return res, fmt.Errorf("system: co-run app %s: %w", w.Name(), err)
 		}
-		procs = append(procs, cpu.Proc{AS: as, Streams: tape.StreamsFor(w, o.EvalSeed+int64(i), &lay)})
+		streams, err := tape.StreamsFor(w, o.EvalSeed+int64(i), &lay)
+		if err != nil {
+			return res, fmt.Errorf("system: co-run app %s: %w", w.Name(), err)
+		}
+		procs = append(procs, cpu.Proc{AS: as, Streams: streams})
 	}
 
 	eng := cpu.New(o.Engine, m.ctrl, nil)

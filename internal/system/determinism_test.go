@@ -176,15 +176,18 @@ func summarize(r Result) map[string]any {
 // fails on every Setup after the first per instance. Cloned per
 // configuration, that means: BSDM and BSHM run one setup (succeed);
 // kinds that profile run two setups (profiling + evaluation) and fail
-// on the second.
+// on the second. Its own TapeKey keeps its profiling pass apart from a
+// pass another test cached for the inner workload, which would skip
+// the failing second Setup.
 type failOnProfile struct {
 	inner  workload.Workload
 	setups int
 }
 
-func (f *failOnProfile) Name() string { return "failer" }
+func (f *failOnProfile) Name() string    { return "failer" }
+func (f *failOnProfile) TapeKey() string { return "failer/" + f.inner.TapeKey() }
 func (f *failOnProfile) Clone() workload.Workload {
-	return &failOnProfile{inner: workload.Clone(f.inner)}
+	return &failOnProfile{inner: f.inner.Clone()}
 }
 func (f *failOnProfile) Setup(env *workload.Env) error {
 	f.setups++
@@ -199,6 +202,7 @@ func (f *failOnProfile) Streams(seed int64) []cpu.Stream { return f.inner.Stream
 // failing configuration is reported by name, and the surviving
 // configurations' results still come back at their stable positions.
 func TestCompareNamesFailingConfig(t *testing.T) {
+	profiles.Reset() // a pass cached by an earlier run (-count) would skip the failing Setup
 	w := &failOnProfile{inner: strideWorkload([]int{1, 1, 1, 1})}
 	kinds := []Kind{BSDM, SDMBSM, BSHM}
 	res, err := Compare(w, Options{}, kinds)

@@ -169,17 +169,20 @@ func bootSDAM(o Options) *machine {
 // The reference streams come from the process-wide tape cache: the
 // cell's allocation layout is captured during Setup, and the first cell
 // of a {workload, seed} records the stream emission once for every
-// later cell to replay (rebased onto its own layout) — bit-identical to
-// live generation, minus the repeated generator work.
+// later cell to replay (rebased onto its own layout).
 func runOn(m *machine, w workload.Workload, o Options, seed int64, policy func(site string) int, col *trace.Collector) (cpu.Result, error) {
 	var lay tape.Layout
 	env := &workload.Env{AS: m.as, Heap: m.heap, MapIDFor: policy, Collector: col, OnAlloc: lay.Note}
 	if err := w.Setup(env); err != nil {
 		return cpu.Result{}, err
 	}
+	streams, err := tape.StreamsFor(w, seed, &lay)
+	if err != nil {
+		return cpu.Result{}, err
+	}
 	eng := cpu.New(o.Engine, m.ctrl, m.as)
 	eng.Collector = col
-	return eng.Run(tape.StreamsFor(w, seed, &lay))
+	return eng.Run(streams)
 }
 
 // Profile runs the workload once on the BS+DM baseline with the profiler
@@ -321,28 +324,19 @@ func installSelection(k *vm.Kernel, prof profile.Profile, sel *cluster.Selection
 // returns results in order, all sharing the same seeds and engine.
 //
 // The configurations are independent — each builds its own machine and
-// seeded RNGs — so they fan out over the parallel worker pool when the
-// workload supports cloning (every built-in workload does); a workload
-// without Clone runs serially. The simulated results are bit-identical
-// either way. On failure the error names every configuration that
+// seeded RNGs, and runs its own clone of w — so they fan out over the
+// parallel worker pool; the simulated results are bit-identical at any
+// worker count. On failure the error names every configuration that
 // failed, and the returned slice still has len(kinds) entries with the
 // surviving configurations' results at their stable positions (failed
 // slots hold the partially filled Result of that run).
 func Compare(w workload.Workload, base Options, kinds []Kind) ([]Result, error) {
-	jobs := parallel.Jobs()
-	_, cloneable := w.(workload.Cloner)
-	if !cloneable {
-		// Setup mutates the workload, so a shared instance must run one
-		// configuration at a time.
-		jobs = 1
-	}
 	name := w.Name() // hoisted: the thunks must not touch the shared workload
-	return parallel.MapN(jobs, kinds, func(_ int, k Kind) (Result, error) {
+	return parallel.Map(kinds, func(_ int, k Kind) (Result, error) {
 		defer obs.Span3("cell", name, k.String()).End()
 		o := base
 		o.Kind = k
-		wk := workload.Clone(w)
-		r, err := Run(wk, o)
+		r, err := Run(w.Clone(), o)
 		if err != nil {
 			return r, fmt.Errorf("system: %s on %s: %w", k, name, err)
 		}

@@ -11,11 +11,10 @@ import (
 )
 
 // The process-wide tape cache, a memo.Memo keyed by {workload.TapeKey,
-// seed}: the first cell of a key generates the streams live and records
+// seed}: the first cell of a key generates the streams and records
 // them, concurrent cells of the key wait for the recording, and every
-// later cell replays it read-only. Results are bit-identical either way
-// — replay emits the recorded sequence, and the recording cell's engine
-// consumed exactly that sequence — so bit-identity at any -jobs count is
+// cell — the recording one included — replays it read-only. Replay
+// emits the recorded sequence, so bit-identity at any -jobs count is
 // preserved by construction.
 //
 // The cache is bounded: a tape whose columns would push the retained
@@ -35,7 +34,6 @@ type cacheKey struct {
 var (
 	tapes = memo.New[cacheKey](maxCacheBytes, func(t *Tape) int64 { return int64(t.Bytes()) })
 
-	statLive    atomic.Int64
 	statBuildNs atomic.Int64
 )
 
@@ -45,7 +43,6 @@ var (
 var (
 	obsBuilds  = obs.NewCounter("tape.builds", "tapes", "reference tapes recorded")
 	obsHits    = obs.NewCounter("tape.hits", "cells", "cells served a shared tape they did not build")
-	obsLive    = obs.NewCounter("tape.live", "cells", "cells that generated streams live, bypassing the cache")
 	obsBuildNs = obs.NewCounter("tape.build_ns", "ns", "host time spent recording tapes")
 	obsBytes   = obs.NewGauge("tape.bytes", "bytes", "high-water retained tape column footprint")
 )
@@ -53,8 +50,9 @@ var (
 // Stats is a snapshot of the cache counters.
 type Stats struct {
 	// Builds counts tapes recorded; Hits counts cells served a shared
-	// tape they did not build; Live counts cells that bypassed the cache
-	// (no TapeKey, or a layout the tape cannot be replayed under).
+	// tape they did not build. Live is always 0: every cell replays a
+	// tape. It stays because the separate benchmark module (perfbench)
+	// reads it.
 	Builds, Hits, Live int64
 	// BuildNs is the cumulative host time spent recording tapes — the
 	// "tape build" half of the sdambench schema-3 split.
@@ -69,7 +67,6 @@ func CacheStats() Stats {
 	return Stats{
 		Builds:  m.Misses,
 		Hits:    m.Hits,
-		Live:    statLive.Load(),
 		BuildNs: statBuildNs.Load(),
 		Bytes:   m.Bytes,
 	}
@@ -79,37 +76,29 @@ func CacheStats() Stats {
 // memory-sensitive callers).
 func ResetCache() {
 	tapes.Reset()
-	statLive.Store(0)
 	statBuildNs.Store(0)
 }
 
 // StreamsFor returns the reference streams for one cell's run of w at
 // seed, under the cell's allocation layout lay (as captured by
-// Layout.Note during Setup). Cells of tape-keyed workloads share one
-// recording per {key, seed}; anything else — or any layout the tape
-// cannot be replayed under — falls back to live generation, emitting
-// the identical sequence either way.
-func StreamsFor(w workload.Workload, seed int64, lay *Layout) []cpu.Stream {
-	if k, ok := w.(workload.TapeKeyer); ok {
-		key := cacheKey{key: k.TapeKey(), seed: seed}
-		t, hit, err := tapes.Get(key, func() (*Tape, error) { return record(key.key, w, seed, lay), nil })
-		if err == nil {
-			if hit {
-				obsHits.Add(1)
-			} else {
-				obsBytes.SetMax(tapes.Stats().Bytes)
-			}
-			if ss, err := t.Streams(lay); err == nil {
-				return ss
-			}
-		}
+// Layout.Note during Setup). Cells share one recording per
+// {w.TapeKey(), seed}; a layout the recording cannot be replayed under
+// is an error.
+func StreamsFor(w workload.Workload, seed int64, lay *Layout) ([]cpu.Stream, error) {
+	key := cacheKey{key: w.TapeKey(), seed: seed}
+	t, hit, err := tapes.Get(key, func() (*Tape, error) { return record(key.key, w, seed, lay), nil })
+	if err != nil {
+		return nil, err
 	}
-	statLive.Add(1)
-	obsLive.Add(1)
-	return w.Streams(seed)
+	if hit {
+		obsHits.Add(1)
+	} else {
+		obsBytes.SetMax(tapes.Stats().Bytes)
+	}
+	return t.Streams(lay)
 }
 
-// record generates w's streams at seed live and records them under lay;
+// record generates w's streams at seed and records them under lay;
 // name labels the span.
 func record(name string, w workload.Workload, seed int64, lay *Layout) *Tape {
 	sp := obs.Span2("tape", name)

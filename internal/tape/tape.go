@@ -52,25 +52,28 @@ func (l *Layout) Note(site string, va vm.VA, bytes uint64) {
 	l.Allocs = append(l.Allocs, Alloc{Site: site, Base: va, Bytes: bytes})
 }
 
-// sameShape reports whether the two layouts describe the same
-// allocation sequence — equal sites and sizes in order — so per-slot
-// base deltas are meaningful.
-func (l *Layout) sameShape(o *Layout) bool {
-	if len(l.Allocs) != len(o.Allocs) {
-		return false
-	}
-	for i := range l.Allocs {
-		if l.Allocs[i].Site != o.Allocs[i].Site || l.Allocs[i].Bytes != o.Allocs[i].Bytes {
-			return false
+// shapeError reports how o's allocation sequence departs from the
+// recorded one l — naming the first slot whose site or size differs —
+// or nil when the two have the same shape, so per-slot base deltas are
+// meaningful.
+func (l *Layout) shapeError(o *Layout) error {
+	for i := range min(len(l.Allocs), len(o.Allocs)) {
+		got, want := o.Allocs[i], l.Allocs[i]
+		if got.Site != want.Site || got.Bytes != want.Bytes {
+			return fmt.Errorf("tape: allocation %d is %q (%d bytes), the recording's is %q (%d bytes)",
+				i, got.Site, got.Bytes, want.Site, want.Bytes)
 		}
 	}
-	return true
+	if len(o.Allocs) != len(l.Allocs) {
+		return fmt.Errorf("tape: layout has %d allocations, the recording %d", len(o.Allocs), len(l.Allocs))
+	}
+	return nil
 }
 
 // sameBases reports whether o places every allocation at the recorded
 // address, making zero-copy replay valid.
 func (l *Layout) sameBases(o *Layout) bool {
-	if !l.sameShape(o) {
+	if l.shapeError(o) != nil {
 		return false
 	}
 	for i := range l.Allocs {
@@ -195,17 +198,16 @@ func (t *Tape) append(refs []cpu.Ref, idx *slotIndex) {
 // Streams returns replay streams equivalent to the recorded run for a
 // cell whose allocation layout is lay: zero-copy views when the bases
 // match the recording, per-slot-rebased views when only the bases
-// differ, and an error (callers fall back to live generation) when the
-// layouts are incompatible or the tape is not rebasable.
+// differ, and an error when the layouts are incompatible or the tape is
+// not rebasable.
 func (t *Tape) Streams(lay *Layout) ([]cpu.Stream, error) {
 	var delta []uint64
 	if !t.layout.sameBases(lay) {
 		if !t.rebasable {
 			return nil, fmt.Errorf("tape: recording has references outside its allocations; replay requires an identical layout")
 		}
-		if !t.layout.sameShape(lay) {
-			return nil, fmt.Errorf("tape: layout shape differs from the recording (%d vs %d allocations)",
-				len(lay.Allocs), len(t.layout.Allocs))
+		if err := t.layout.shapeError(lay); err != nil {
+			return nil, err
 		}
 		delta = make([]uint64, len(lay.Allocs))
 		for i := range delta {

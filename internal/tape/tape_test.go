@@ -1,6 +1,8 @@
 package tape
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -75,7 +77,7 @@ func TestReplayMatchesLiveSameLayout(t *testing.T) {
 
 	// A fresh clone at the identical layout must see the identical
 	// sequence, and replay must take the zero-copy path.
-	fresh := workload.Clone(w)
+	fresh := w.Clone()
 	flay, _ := setup(t, fresh, 0)
 	ss, err := tp.Streams(&flay)
 	if err != nil {
@@ -95,7 +97,7 @@ func TestReplayRebasesAcrossLayouts(t *testing.T) {
 	// Shift the second cell's heap with a pad allocation: every base
 	// moves, so replay must rebase per slot — and still match a live
 	// clone set up in that shifted space.
-	fresh := workload.Clone(w)
+	fresh := w.Clone()
 	flay, _ := setup(t, fresh, 3*geom.PageBytes)
 	if lay.sameBases(&flay) {
 		t.Fatal("pad allocation did not move the bases; test is vacuous")
@@ -107,6 +109,9 @@ func TestReplayRebasesAcrossLayouts(t *testing.T) {
 	sameRefs(t, drain(ss), drain(fresh.Streams(7)))
 }
 
+// TestReplayRejectsIncompatibleLayout: replay refuses a layout with a
+// missing allocation, and one with equal counts but a resized
+// allocation — naming that slot, with its site and bytes on both sides.
 func TestReplayRejectsIncompatibleLayout(t *testing.T) {
 	w := testWorkload()
 	lay, _ := setup(t, w, 0)
@@ -114,6 +119,19 @@ func TestReplayRejectsIncompatibleLayout(t *testing.T) {
 	short := Layout{Allocs: lay.Allocs[:len(lay.Allocs)-1]}
 	if _, err := tp.Streams(&short); err == nil {
 		t.Fatal("replay accepted a layout with a missing allocation")
+	}
+
+	resized := Layout{Allocs: append([]Alloc(nil), lay.Allocs...)}
+	resized.Allocs[1].Bytes /= 2
+	_, err := tp.Streams(&resized)
+	if err == nil {
+		t.Fatal("replay accepted a layout with a resized allocation")
+	}
+	site := lay.Allocs[1].Site
+	want := fmt.Sprintf("allocation 1 is %q (%d bytes), the recording's is %q (%d bytes)",
+		site, lay.Allocs[1].Bytes/2, site, lay.Allocs[1].Bytes)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
 	}
 }
 
@@ -123,15 +141,15 @@ func TestCacheSingleflight(t *testing.T) {
 
 	w := testWorkload()
 	lay, _ := setup(t, w, 0)
-	first := drain(StreamsFor(w, 5, &lay))
+	first := drain(mustStreamsFor(t, w, 5, &lay))
 
-	fresh := workload.Clone(w)
+	fresh := w.Clone()
 	flay, _ := setup(t, fresh, geom.PageBytes)
-	second := drain(StreamsFor(fresh, 5, &flay))
+	second := drain(mustStreamsFor(t, fresh, 5, &flay))
 
 	s := CacheStats()
-	if s.Builds != 1 || s.Hits != 1 || s.Live != 0 {
-		t.Fatalf("stats after two cells = %+v, want 1 build, 1 hit, 0 live", s)
+	if s.Builds != 1 || s.Hits != 1 {
+		t.Fatalf("stats after two cells = %+v, want 1 build, 1 hit", s)
 	}
 	if s.Bytes == 0 || s.BuildNs < 0 {
 		t.Fatalf("implausible accounting: %+v", s)
@@ -140,7 +158,7 @@ func TestCacheSingleflight(t *testing.T) {
 	// The shared recording must not leak the first cell's bases into
 	// the second cell's (shifted) replay: compare against a live clone
 	// set up at the same shifted layout.
-	ref := workload.Clone(w)
+	ref := w.Clone()
 	rlay, _ := setup(t, ref, geom.PageBytes)
 	if !flay.sameBases(&rlay) {
 		t.Fatal("reference clone landed at different bases; test is vacuous")
@@ -151,21 +169,36 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-func TestCacheFallsBackWithoutTapeKey(t *testing.T) {
+// sharedKey gives a workload a fixed TapeKey, so workloads of different
+// shapes collide on one cache entry.
+type sharedKey struct{ workload.Workload }
+
+func (sharedKey) TapeKey() string { return "tape_test/shared" }
+
+// TestStreamsForRejectsIncompatibleLayout: a cell whose layout the
+// cached recording cannot be replayed under gets an error naming the
+// first differing allocation, not silently regenerated streams.
+func TestStreamsForRejectsIncompatibleLayout(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
-	w := opaque{testWorkload()}
+	w := sharedKey{workload.NewStrideCopy([]int{1, 7, 32}, 500, 1<<20)}
 	lay, _ := setup(t, w, 0)
-	if ss := StreamsFor(w, 1, &lay); len(ss) == 0 {
-		t.Fatal("no streams for un-keyed workload")
+	mustStreamsFor(t, w, 3, &lay)
+
+	other := sharedKey{workload.NewStrideCopy([]int{1, 7, 16}, 500, 1<<20)}
+	olay, _ := setup(t, other, 0)
+	ss, err := StreamsFor(other, 3, &olay)
+	if err == nil {
+		t.Fatalf("incompatible layout served %d streams", len(ss))
 	}
-	if s := CacheStats(); s.Live != 1 || s.Builds != 0 {
-		t.Fatalf("un-keyed workload stats = %+v, want live-only", s)
+	if !strings.Contains(err.Error(), "allocation 2") || !strings.Contains(err.Error(), lay.Allocs[2].Site) ||
+		!strings.Contains(err.Error(), olay.Allocs[2].Site) {
+		t.Fatalf("error does not name the differing allocation: %v", err)
+	}
+	if s := CacheStats(); s.Builds != 1 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want the one recording built once and hit once", s)
 	}
 }
-
-// opaque hides the embedded workload's TapeKey.
-type opaque struct{ workload.Workload }
 
 // TestConcurrentCellsShareOneTape drives many goroutines through the
 // cache for one {key, seed} at once — the shape of a -jobs 8 sweep —
@@ -187,20 +220,24 @@ func TestConcurrentCellsShareOneTape(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cw := workload.Clone(w)
+			cw := w.Clone()
 			as := vm.NewKernel(geom.Default().Chunks()).NewAddressSpace()
 			var clay Layout
 			env := &workload.Env{AS: as, Heap: heap.New(as), OnAlloc: clay.Note}
 			if errs[c] = cw.Setup(env); errs[c] != nil {
 				return
 			}
-			got[c] = drain(StreamsFor(cw, 11, &clay))
+			var ss []cpu.Stream
+			if ss, errs[c] = StreamsFor(cw, 11, &clay); errs[c] != nil {
+				return
+			}
+			got[c] = drain(ss)
 		}(c)
 	}
 	wg.Wait()
 	for c, err := range errs {
 		if err != nil {
-			t.Fatalf("cell %d setup: %v", c, err)
+			t.Fatalf("cell %d: %v", c, err)
 		}
 	}
 	for c := 0; c < cells; c++ {
@@ -221,6 +258,16 @@ func (t *Tape) mustStreams(tt *testing.T, lay *Layout) []cpu.Stream {
 	ss, err := t.Streams(lay)
 	if err != nil {
 		tt.Fatal(err)
+	}
+	return ss
+}
+
+// mustStreamsFor is a test helper: StreamsFor or fatal.
+func mustStreamsFor(t *testing.T, w workload.Workload, seed int64, lay *Layout) []cpu.Stream {
+	t.Helper()
+	ss, err := StreamsFor(w, seed, lay)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return ss
 }

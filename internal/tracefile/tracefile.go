@@ -9,10 +9,10 @@
 package tracefile
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"repro/internal/cpu"
@@ -100,18 +100,27 @@ func Load(r io.Reader) (*File, error) {
 	if f.Version != formatVersion {
 		return nil, fmt.Errorf("tracefile: format version %d, want %d", f.Version, formatVersion)
 	}
+	if err := f.validate(); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// validate checks that every record names a recorded variable and lies
+// inside it, so replay can place each reference by its variable's base.
+func (f *File) validate() error {
 	for ti, recs := range f.Threads {
 		for ri, rec := range recs {
 			if rec.Var < 0 || rec.Var >= len(f.Vars) {
-				return nil, fmt.Errorf("tracefile: thread %d rec %d references unknown variable %d", ti, ri, rec.Var)
+				return fmt.Errorf("tracefile: thread %d rec %d references unknown variable %d", ti, ri, rec.Var)
 			}
 			if rec.Off >= f.Vars[rec.Var].Bytes {
-				return nil, fmt.Errorf("tracefile: thread %d rec %d offset %d outside variable (%d bytes)",
+				return fmt.Errorf("tracefile: thread %d rec %d offset %d outside variable (%d bytes)",
 					ti, ri, rec.Off, f.Vars[rec.Var].Bytes)
 			}
 		}
 	}
-	return &f, nil
+	return nil
 }
 
 // Refs counts the recorded references.
@@ -126,32 +135,46 @@ func (f *File) Refs() int {
 // Workload returns a replayable workload over the trace. The replay
 // allocates every recorded variable through the active mapping policy,
 // so the same trace can be evaluated under any system configuration;
-// the stream seed is ignored (a trace is one fixed input).
+// the stream seed is ignored (a trace is one fixed input). Its TapeKey
+// hashes the trace's contents once, here, so f must not change
+// afterwards. A file that fails Load's checks fails the replay's Setup.
 func (f *File) Workload() workload.Workload {
-	return &replay{file: f}
+	return &replay{file: f, key: f.contentKey(), invalid: f.validate()}
+}
+
+// contentKey hashes the trace's encoding: its name, its variables and
+// every record.
+func (f *File) contentKey() string {
+	h := sha256.New()
+	_ = f.Save(h) // encoding File into a hash cannot fail
+	return fmt.Sprintf("trace/%s/%x", f.Name, h.Sum(nil))
 }
 
 type replay struct {
-	file  *File
-	bases []vm.VA
-	// streams caches the materialized per-thread reference lists; valid
-	// while bases is unchanged. A repeat run under the same allocation
-	// layout (e.g. the profiling and evaluation passes of a nil-policy
-	// configuration) then just Resets the cached streams instead of
-	// rebuilding multi-million-entry slices.
-	streams []*cpu.SliceStream
+	file    *File
+	key     string
+	invalid error // the file's validation error, reported by Setup
+	bases   []vm.VA
 }
 
 // Name implements workload.Workload.
 func (r *replay) Name() string { return r.file.Name + "-trace" }
 
-// Clone implements workload.Cloner: the trace itself is read-only after
-// Load, so clones share it and only carry their own allocation bases.
-func (r *replay) Clone() workload.Workload { return &replay{file: r.file} }
+// TapeKey implements workload.Workload.
+func (r *replay) TapeKey() string { return r.key }
+
+// Clone implements workload.Workload: the trace itself is read-only
+// after Load, so clones share it and its key and only carry their own
+// allocation bases.
+func (r *replay) Clone() workload.Workload {
+	return &replay{file: r.file, key: r.key, invalid: r.invalid}
+}
 
 // Setup implements workload.Workload.
 func (r *replay) Setup(env *workload.Env) error {
-	old := append([]vm.VA(nil), r.bases...)
+	if r.invalid != nil {
+		return r.invalid
+	}
 	r.bases = r.bases[:0]
 	for _, v := range r.file.Vars {
 		va, err := env.Alloc(v.Site, v.Bytes)
@@ -160,34 +183,19 @@ func (r *replay) Setup(env *workload.Env) error {
 		}
 		r.bases = append(r.bases, va)
 	}
-	if !slices.Equal(old, r.bases) {
-		r.streams = nil // cached streams carry stale addresses
-	}
 	return nil
 }
 
 // Streams implements workload.Workload. The seed is ignored (a trace is
-// one fixed input), so repeat calls under the same allocation bases
-// reuse the cached streams via Reset.
+// one fixed input).
 func (r *replay) Streams(int64) []cpu.Stream {
-	if r.streams == nil {
-		r.streams = make([]*cpu.SliceStream, 0, len(r.file.Threads))
-		for _, recs := range r.file.Threads {
-			s := &cpu.SliceStream{Refs: make([]cpu.Ref, len(recs))}
-			for i, rec := range recs {
-				s.Refs[i] = cpu.Ref{
-					VA:    r.bases[rec.Var] + vm.VA(rec.Off),
-					PC:    rec.PC,
-					Write: rec.Write,
-				}
-			}
-			r.streams = append(r.streams, s)
+	out := make([]cpu.Stream, len(r.file.Threads))
+	for i, recs := range r.file.Threads {
+		refs := make([]cpu.Ref, len(recs))
+		for j, rec := range recs {
+			refs[j] = cpu.Ref{VA: r.bases[rec.Var] + vm.VA(rec.Off), PC: rec.PC, Write: rec.Write}
 		}
-	}
-	out := make([]cpu.Stream, len(r.streams))
-	for i, s := range r.streams {
-		s.Reset()
-		out[i] = s
+		out[i] = &cpu.SliceStream{Refs: refs}
 	}
 	return out
 }

@@ -111,6 +111,44 @@ func TestReplayPreservesReferenceCount(t *testing.T) {
 	}
 }
 
+// TestHandBuiltFileFailsAtSetup: a File built in code skips Load, so
+// the replay's Setup applies Load's checks and names the bad record
+// instead of failing mid-sweep on a layout the tape cannot replay.
+func TestHandBuiltFileFailsAtSetup(t *testing.T) {
+	f := &File{
+		Version: formatVersion,
+		Name:    "handmade",
+		Vars:    []Var{{Site: "a", Bytes: 4096}, {Site: "b", Bytes: 4096}},
+		Threads: [][]Rec{{{Var: 0, Off: 64}, {Var: 1, Off: 128}}, {{Var: 0, Off: 0}, {Var: 1, Off: 4096}}},
+	}
+	_, err := system.Run(f.Workload(), system.Options{Kind: system.BSDM})
+	if err == nil {
+		t.Fatal("a record outside its variable ran")
+	}
+	if !strings.Contains(err.Error(), "thread 1 rec 1 offset 4096 outside variable (4096 bytes)") {
+		t.Fatalf("error does not name the bad record: %v", err)
+	}
+}
+
+// TestContentKeyTracksRecords: the tape key is a function of the
+// trace's contents — one changed record changes it, and clones share it.
+func TestContentKeyTracksRecords(t *testing.T) {
+	f := record(t)
+	w := f.Workload()
+	if w.Clone().TapeKey() != w.TapeKey() {
+		t.Fatal("a clone has a different key")
+	}
+	g := *f
+	g.Threads = [][]Rec{append([]Rec(nil), f.Threads[0]...), f.Threads[1]}
+	g.Threads[0][17].Off += 64
+	if g.Workload().TapeKey() == w.TapeKey() {
+		t.Fatal("traces differing in one record share a key")
+	}
+	if record(t).Workload().TapeKey() != w.TapeKey() {
+		t.Fatal("identical recordings have different keys")
+	}
+}
+
 // FuzzLoad ensures arbitrary bytes never panic the loader.
 func FuzzLoad(f *testing.F) {
 	good, err := Record(workload.NewStrideCopy([]int{1}, 100, 1<<20), 1)

@@ -76,38 +76,28 @@ type Workload interface {
 	// Different seeds model different program inputs (the paper's
 	// train-vs-test cross-validation, §7.3).
 	Streams(seed int64) []cpu.Stream
-}
-
-// Cloner is implemented by workloads that can produce a fresh,
-// independent instance with the same parameters. Setup mutates a
-// workload (it records the run's allocations), so concurrent runs of
-// the same benchmark — the parallel sweep cells of system.Compare and
-// the experiment harness — each need their own clone.
-type Cloner interface {
+	// TapeKey identifies the workload's content: two workloads with
+	// equal keys emit identical streams for equal seeds, modulo
+	// allocation base addresses. The reference-tape cache
+	// (internal/tape) and the profiling memo share one recording and
+	// one profiling pass per key, so the key must change whenever
+	// anything the streams depend on changes — construction
+	// parameters, or a trace's recorded contents.
+	TapeKey() string
+	// Clone returns a fresh, independent instance with the same
+	// parameters (and so the same TapeKey). Setup mutates a workload
+	// (it records the run's allocations), so concurrent runs of the
+	// same benchmark — the parallel sweep cells of system.Compare and
+	// the experiment harness — each run their own clone.
 	Clone() Workload
 }
 
-// Clone returns an independent instance of w when it supports cloning,
-// and w itself otherwise (callers fall back to serial execution then).
-func Clone(w Workload) Workload {
-	if c, ok := w.(Cloner); ok {
-		return c.Clone()
-	}
-	return w
-}
+// Clone returns an independent instance of w.
+func Clone(w Workload) Workload { return w.Clone() }
 
-// TapeKeyer is implemented by workloads whose reference streams are a
-// pure function of (construction parameters, seed) relative to their
-// allocation bases — every built-in workload. TapeKey returns a string
-// that changes whenever those parameters change; two workloads with
-// equal keys and equal seeds emit identical streams modulo allocation
-// base addresses, which is exactly the invariant the reference-tape
-// cache (internal/tape) needs to share one recording across sweep
-// cells. Workloads whose streams depend on anything else (e.g. external
-// file contents) must not implement the interface.
-type TapeKeyer interface {
-	TapeKey() string
-}
+// TapeKeyer is an alias of Workload, kept because the separate
+// benchmark module (perfbench) asserts it, as it does cpu.BatchStream.
+type TapeKeyer = Workload
 
 // Pattern generates a variable's access-offset sequence.
 type Pattern interface {
