@@ -45,8 +45,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/profile
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/tracefile
 
-# bench smoke: the simulator hot path (engine, vm translation, L1
-# cache lookup, the engine's MSHR window) plus the DL selector's two
+# bench smoke: the simulator hot path (engine, tape replay, the
+# profiling pass, vm translation, L1 cache lookup, the engine's MSHR
+# window) plus the DL selector's two
 # training-cost benchmarks (the select_ms story lives in internal/f64's
 # lane-fused kernels; TrainJoint isolates the training loop, SelectDL
 # times the whole selection pipeline).

@@ -17,6 +17,7 @@ import (
 	"repro/internal/heap"
 	"repro/internal/memctrl"
 	"repro/internal/tape"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -107,6 +108,28 @@ func BenchmarkHotPathTapeReplayAccel(b *testing.B) {
 	rig := newHotPathRig(b, cpu.AcceleratorConfig(4))
 	t := tape.Record(rig.work.Streams(7), rig.layout)
 	runTapeReplay(b, rig, func() []cpu.Stream {
+		ss, err := t.Streams(&rig.layout)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ss
+	})
+}
+
+// BenchmarkHotPathProfile measures the profiling pass's loop: the CPU
+// configuration replaying a recorded tape with a collector attached, so
+// every external access is also attributed to its variable by slot and
+// folded into the flip statistics. A fresh collector per iteration
+// keeps the delta sequence from saturating.
+func BenchmarkHotPathProfile(b *testing.B) {
+	rig := newHotPathRig(b, cpu.CPUConfig(4))
+	t := tape.Record(rig.work.Streams(7), rig.layout)
+	runTapeReplay(b, rig, func() []cpu.Stream {
+		col := trace.NewCollector(0)
+		for _, a := range rig.layout.Allocs {
+			col.NoteAlloc(a.Site, a.Bytes)
+		}
+		rig.engine.Collector = col
 		ss, err := t.Streams(&rig.layout)
 		if err != nil {
 			b.Fatal(err)

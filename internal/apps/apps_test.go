@@ -6,6 +6,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
+	"repro/internal/tape"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -15,7 +16,7 @@ func newEnv(t *testing.T) *workload.Env {
 	t.Helper()
 	k := vm.NewKernel(geom.Default().Chunks())
 	as := k.NewAddressSpace()
-	return &workload.Env{AS: as, Heap: heap.New(as), Collector: trace.NewCollector(0)}
+	return &workload.Env{AS: as, Heap: heap.New(as)}
 }
 
 // refsOf drains s in engine-sized batches.
@@ -188,23 +189,37 @@ func TestLineElems(t *testing.T) {
 func TestMixedPatternsAcrossVariables(t *testing.T) {
 	// The premise of per-variable mappings: within one kernel, different
 	// variables show different BFRVs. Use the collector to verify for
-	// hash join (streaming s_tuples vs random buckets).
+	// hash join (streaming s_tuples vs random buckets), attributing each
+	// reference by the allocation slot its recorded tape replays.
 	env := newEnv(t)
+	var lay tape.Layout
+	env.OnAlloc = lay.Note
 	w := NewHashJoin(Options{MaxRefs: 40_000, Threads: 1})
 	if err := w.Setup(env); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range w.Streams(5) {
+	streams, err := tape.Record(w.Streams(5), lay).Streams(&lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := trace.NewCollector(0)
+	for _, a := range lay.Allocs {
+		col.NoteAlloc(a.Site, a.Bytes)
+	}
+	for _, s := range streams {
 		for _, ref := range refsOf(s) {
 			line, err := env.AS.TranslateLine(ref.VA)
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.Collector.Record(trace.Access{VA: ref.VA, PA: line, PC: ref.PC})
+			col.Record(ref.Alloc, line)
 		}
 	}
+	if col.Unattributed != 0 {
+		t.Fatalf("%d references unattributed", col.Unattributed)
+	}
 	var stream, random *trace.Variable
-	for _, v := range env.Collector.Variables() {
+	for _, v := range col.Variables() {
 		switch v.Site {
 		case "hashjoin/s_tuples":
 			stream = v

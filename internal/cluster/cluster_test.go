@@ -6,7 +6,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/profile"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // buildProfile creates a collector with nVars variables, each accessed
@@ -14,18 +13,16 @@ import (
 func buildProfile(t testing.TB, strides []int, refsPer int) (profile.Profile, []trace.DeltaSample) {
 	t.Helper()
 	c := trace.NewCollector(0)
-	base := vm.VA(1) << 32
 	for i := range strides {
-		c.NoteAlloc(siteName(i), base+vm.VA(i)<<26, 16<<20)
+		c.NoteAlloc(siteName(i), 16<<20)
 	}
 	// Interleave accesses round-robin so deltas carry per-variable
 	// transitions and the trace mixes VIDs like a real run.
 	idx := make([]int, len(strides))
 	for r := 0; r < refsPer; r++ {
 		for v, s := range strides {
-			va := base + vm.VA(v)<<26 + vm.VA(idx[v]*s*geom.LineBytes)
 			pa := geom.LineAddr(uint64(v)<<20 + uint64(idx[v]*s))
-			c.Record(trace.Access{VA: va, PA: pa})
+			c.Record(int32(v+1), pa)
 			idx[v]++
 		}
 	}

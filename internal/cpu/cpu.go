@@ -54,6 +54,12 @@ type Ref struct {
 	// occupy memory bandwidth but never block the core — the write
 	// buffer a real core drains in the background.
 	Write bool
+	// Alloc is 1 + the allocation slot (the index in the run's
+	// allocation order) that a reference tape recorded the reference
+	// in. 0 means outside every allocation, and is what stream
+	// generators and hand-built SliceStreams leave: only a replayed
+	// tape attributes references to variables.
+	Alloc int32
 }
 
 // NextBatch implements Stream.
@@ -156,8 +162,8 @@ type Engine struct {
 	as   *vm.AddressSpace
 	l1   []*cache.Cache // private, one per core
 	llc  *cache.Cache   // shared
-	// Collector, when set, receives every external access — the
-	// profiling hook of §6.2.
+	// Collector, when set, receives every external access as its
+	// Ref.Alloc and physical line — the profiling hook of §6.2.
 	Collector *trace.Collector
 }
 
@@ -512,7 +518,7 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 				res.Writes++
 			}
 			if e.Collector != nil {
-				e.Collector.Record(trace.Access{Time: issue, PC: ref.PC, VA: ref.VA, PA: line})
+				e.Collector.Record(ref.Alloc, line)
 			}
 			if !ref.Write {
 				c.mshr.add(done)

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/amu"
 	"repro/internal/geom"
@@ -166,12 +167,12 @@ func TestCollectorReceivesExternalAccessesOnly(t *testing.T) {
 	ctrl, as, va := rig(t, nil)
 	e := New(CPUConfig(1), ctrl, as)
 	col := trace.NewCollector(0)
-	col.NoteAlloc("buf", va, 64<<20)
+	col.NoteAlloc("buf", 64<<20)
 	e.Collector = col
 	s := &SliceStream{}
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 32; i++ {
-			s.Refs = append(s.Refs, Ref{VA: va + vm.VA(i*geom.LineBytes)})
+			s.Refs = append(s.Refs, Ref{VA: va + vm.VA(i*geom.LineBytes), Alloc: 1})
 		}
 	}
 	if _, err := e.Run([]Stream{s}); err != nil {
@@ -179,6 +180,14 @@ func TestCollectorReceivesExternalAccessesOnly(t *testing.T) {
 	}
 	if got := col.TotalRefs(); got != 32 {
 		t.Fatalf("collector saw %d refs, want 32 external only", got)
+	}
+}
+
+// TestRefStays24Bytes: Alloc fits in Write's padding, so carrying the
+// allocation slot costs the batch buffers nothing.
+func TestRefStays24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Ref{}); n != 24 {
+		t.Fatalf("Ref is %d bytes, want 24", n)
 	}
 }
 

@@ -22,7 +22,7 @@ type VarProfile struct {
 	VID   int
 	Site  string
 	Refs  uint64
-	Bytes uint64 // peak footprint
+	Bytes uint64 // footprint: the site's allocations summed
 	BFRV  mapping.BFRV
 	Major bool
 	// Sample holds up to trace.SampleCap observed chunk offsets, used to
@@ -46,7 +46,7 @@ func FromCollector(app string, c *trace.Collector) Profile {
 			VID:    v.VID,
 			Site:   v.Site,
 			Refs:   v.Refs,
-			Bytes:  v.PeakBytes,
+			Bytes:  v.Bytes,
 			BFRV:   v.BFRV(),
 			Sample: v.Sample,
 		})

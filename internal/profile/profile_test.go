@@ -7,25 +7,23 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // buildCollector creates three variables with reference counts 80, 15, 5
 // so that exactly the hot variable is major at the 80 % threshold.
 func buildCollector() *trace.Collector {
 	c := trace.NewCollector(0)
-	c.NoteAlloc("hot", 0x100000, 64<<20)
-	c.NoteAlloc("warm", 0x8000000, 8<<20)
-	c.NoteAlloc("cold", 0x10000000, 1<<20)
-	emit := func(base vm.VA, n, stride int) {
+	c.NoteAlloc("hot", 64<<20)
+	c.NoteAlloc("warm", 8<<20)
+	c.NoteAlloc("cold", 1<<20)
+	emit := func(alloc int32, n, stride int) {
 		for i := 0; i < n; i++ {
-			va := base + vm.VA(i*stride*geom.LineBytes)
-			c.Record(trace.Access{VA: va, PA: geom.LineAddr(i * stride)})
+			c.Record(alloc, geom.LineAddr(i*stride))
 		}
 	}
-	emit(0x100000, 800, 1)
-	emit(0x8000000, 150, 16)
-	emit(0x10000000, 50, 4)
+	emit(1, 800, 1)
+	emit(2, 150, 16)
+	emit(3, 50, 4)
 	return c
 }
 
@@ -97,9 +95,9 @@ func TestEmptyProfile(t *testing.T) {
 
 func TestAllRefsOneVariable(t *testing.T) {
 	c := trace.NewCollector(0)
-	c.NoteAlloc("only", 0x1000, 1<<20)
+	c.NoteAlloc("only", 1<<20)
 	for i := 0; i < 100; i++ {
-		c.Record(trace.Access{VA: 0x1000 + vm.VA(i*64), PA: geom.LineAddr(i)})
+		c.Record(1, geom.LineAddr(i))
 	}
 	p := FromCollector("single", c)
 	if len(p.Majors()) != 1 {

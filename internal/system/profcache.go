@@ -19,9 +19,8 @@ import (
 // scale. Like the selection cache (selcache.go), this cache memoizes
 // the pass process-wide under exactly that content key; a hit returns
 // the same bytes a fresh pass would. The shared *trace.Collector is
-// read-only after the pass (its lazy interval sort is already settled
-// by the pass's own attribution), so concurrent cells may consult
-// Deltas()/GlobalBFRV() without synchronization.
+// read-only after the pass and keeps no lazy state, so concurrent cells
+// may consult Deltas()/GlobalBFRV() without synchronization.
 
 // profKey identifies one profiling pass by content.
 type profKey struct {

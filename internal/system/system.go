@@ -169,10 +169,12 @@ func bootSDAM(o Options) *machine {
 // The reference streams come from the process-wide tape cache: the
 // cell's allocation layout is captured during Setup, and the first cell
 // of a {workload, seed} records the stream emission once for every
-// later cell to replay (rebased onto its own layout).
+// later cell to replay (rebased onto its own layout). The same layout
+// gives col its slot → variable table, in the slot order the replayed
+// references carry.
 func runOn(m *machine, w workload.Workload, o Options, seed int64, policy func(site string) int, col *trace.Collector) (cpu.Result, error) {
 	var lay tape.Layout
-	env := &workload.Env{AS: m.as, Heap: m.heap, MapIDFor: policy, Collector: col, OnAlloc: lay.Note}
+	env := &workload.Env{AS: m.as, Heap: m.heap, MapIDFor: policy, OnAlloc: lay.Note}
 	if err := w.Setup(env); err != nil {
 		return cpu.Result{}, err
 	}
@@ -181,7 +183,12 @@ func runOn(m *machine, w workload.Workload, o Options, seed int64, policy func(s
 		return cpu.Result{}, err
 	}
 	eng := cpu.New(o.Engine, m.ctrl, m.as)
-	eng.Collector = col
+	if col != nil {
+		for _, a := range lay.Allocs {
+			col.NoteAlloc(a.Site, a.Bytes)
+		}
+		eng.Collector = col
+	}
 	return eng.Run(streams)
 }
 

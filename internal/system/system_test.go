@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cpu"
+	"repro/internal/mapping"
+	"repro/internal/tape"
 	"repro/internal/workload"
 )
 
@@ -238,5 +240,40 @@ func TestDLSelectionIsDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("DL selection nondeterministic: %d vs %d mappings", a, b)
+	}
+}
+
+// TestProfileAttributesBySlot: the profiling pass feeds its collector
+// the cell's allocation layout, so a workload whose references all stay
+// inside its allocations has every external access attributed, and
+// each variable's Bytes is what its site allocated.
+func TestProfileAttributesBySlot(t *testing.T) {
+	w, err := workload.NewProxyByName("gobmk", workload.ProxyOptions{Refs: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, col, err := Profile(w, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.Unattributed != 0 || prof.TotalRefs == 0 {
+		t.Fatalf("%d attributed, %d unattributed; want all attributed", prof.TotalRefs, col.Unattributed)
+	}
+	m := bootGlobal(Options{}.withDefaults(), mapping.Identity{})
+	var lay tape.Layout
+	if err := w.Clone().Setup(&workload.Env{AS: m.as, Heap: m.heap, OnAlloc: lay.Note}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{}
+	for _, a := range lay.Allocs {
+		want[a.Site] += a.Bytes
+	}
+	if len(prof.Vars) != len(want) {
+		t.Fatalf("%d variables, the layout has %d sites", len(prof.Vars), len(want))
+	}
+	for _, v := range prof.Vars {
+		if v.Bytes != want[v.Site] {
+			t.Fatalf("%s: Bytes %d, its allocations sum to %d", v.Site, v.Bytes, want[v.Site])
+		}
 	}
 }

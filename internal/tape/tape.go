@@ -15,11 +15,14 @@
 // inside variables — a recorded tape is *rebasable*: each reference is
 // stored with the allocation slot it landed in, and replaying under a
 // different VM layout (a different configuration's chunk groups place
-// the heap differently) just adds that cell's base delta. Physical
-// addresses are deliberately NOT recorded: every cell boots a fresh,
-// demand-paged address space whose frames are assigned in first-touch
-// order, and that order depends on the mapping under test, so a
-// translation taken in one cell is never valid at the start of another.
+// the heap differently) just adds that cell's base delta. Replay hands
+// the slot on as cpu.Ref.Alloc, so the profiling collector attributes
+// each reference to its variable without searching the layout again.
+// Physical addresses are deliberately NOT recorded: every cell boots a
+// fresh, demand-paged address space whose frames are assigned in
+// first-touch order, and that order depends on the mapping under test,
+// so a translation taken in one cell is never valid at the start of
+// another.
 package tape
 
 import (
@@ -94,7 +97,7 @@ type Tape struct {
 	va    []uint64 // virtual address per reference (recording layout)
 	pc    []uint64
 	write []uint64 // bitset, 1 = store
-	slot  []int32  // allocation index the VA fell in; -1 = outside all
+	alloc []int32  // 1 + allocation index the VA fell in; 0 = outside all
 	// starts[i] is the first reference index of stream i;
 	// starts[len] == total references.
 	starts []int
@@ -118,45 +121,37 @@ func (t *Tape) Rebasable() bool { return t.rebasable }
 
 // Bytes approximates the tape's retained memory, for cache accounting.
 func (t *Tape) Bytes() int {
-	return 8*len(t.va) + 8*len(t.pc) + 8*len(t.write) + 4*len(t.slot) + 8*len(t.starts)
+	return 8*len(t.va) + 8*len(t.pc) + 8*len(t.write) + 4*len(t.alloc) + 8*len(t.starts)
 }
 
 func (t *Tape) isWrite(i int) bool { return t.write[i>>6]>>(uint(i)&63)&1 != 0 }
 
-// slotIndex maps VAs to allocation slots via a base-sorted view of the
-// layout.
-type slotIndex struct {
-	bases []uint64 // sorted allocation bases
-	ends  []uint64
-	slots []int32 // original allocation order index
+// span is one allocation of the recording layout as an address range.
+type span struct {
+	base, end uint64
+	alloc     int32 // 1 + the allocation's slot
 }
 
-func newSlotIndex(l *Layout) *slotIndex {
-	idx := &slotIndex{
-		bases: make([]uint64, len(l.Allocs)),
-		ends:  make([]uint64, len(l.Allocs)),
-		slots: make([]int32, len(l.Allocs)),
+// slotIndex is the recording layout's allocations sorted by base: the
+// one VA → allocation search, made once per reference while recording.
+type slotIndex []span
+
+func newSlotIndex(l *Layout) slotIndex {
+	x := make(slotIndex, len(l.Allocs))
+	for i, a := range l.Allocs {
+		x[i] = span{base: uint64(a.Base), end: uint64(a.Base) + a.Bytes, alloc: int32(i) + 1}
 	}
-	order := make([]int, len(l.Allocs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return l.Allocs[order[a]].Base < l.Allocs[order[b]].Base })
-	for i, o := range order {
-		idx.bases[i] = uint64(l.Allocs[o].Base)
-		idx.ends[i] = uint64(l.Allocs[o].Base) + l.Allocs[o].Bytes
-		idx.slots[i] = int32(o)
-	}
-	return idx
+	sort.Slice(x, func(i, j int) bool { return x[i].base < x[j].base })
+	return x
 }
 
-// find returns the slot containing va, or -1.
-func (x *slotIndex) find(va uint64) int32 {
-	i := sort.Search(len(x.bases), func(i int) bool { return x.bases[i] > va })
-	if i > 0 && va < x.ends[i-1] {
-		return x.slots[i-1]
+// find returns 1 + the slot of the allocation containing va, or 0.
+func (x slotIndex) find(va uint64) int32 {
+	i := sort.Search(len(x), func(i int) bool { return x[i].base > va })
+	if i > 0 && va < x[i-1].end {
+		return x[i-1].alloc
 	}
-	return -1
+	return 0
 }
 
 // Record drains the given streams — the value of Workload.Streams(seed)
@@ -176,7 +171,7 @@ func Record(streams []cpu.Stream, lay Layout) *Tape {
 	return t
 }
 
-func (t *Tape) append(refs []cpu.Ref, idx *slotIndex) {
+func (t *Tape) append(refs []cpu.Ref, idx slotIndex) {
 	for _, r := range refs {
 		i := len(t.va)
 		t.va = append(t.va, uint64(r.VA))
@@ -187,9 +182,9 @@ func (t *Tape) append(refs []cpu.Ref, idx *slotIndex) {
 		if r.Write {
 			t.write[i>>6] |= 1 << (uint(i) & 63)
 		}
-		s := idx.find(uint64(r.VA))
-		t.slot = append(t.slot, s)
-		if s < 0 {
+		a := idx.find(uint64(r.VA))
+		t.alloc = append(t.alloc, a)
+		if a == 0 {
 			t.rebasable = false
 		}
 	}
@@ -209,11 +204,14 @@ func (t *Tape) Streams(lay *Layout) ([]cpu.Stream, error) {
 		if err := t.layout.shapeError(lay); err != nil {
 			return nil, err
 		}
-		delta = make([]uint64, len(lay.Allocs))
-		for i := range delta {
+		// delta is indexed by the alloc column: delta[0] stays 0 for
+		// references outside every allocation (none, in a rebasable
+		// tape).
+		delta = make([]uint64, 1+len(lay.Allocs))
+		for i, a := range lay.Allocs {
 			// Two's-complement wraparound makes the delta valid for
 			// bases that moved down as well as up.
-			delta[i] = uint64(lay.Allocs[i].Base) - uint64(t.layout.Allocs[i].Base)
+			delta[1+i] = uint64(a.Base) - uint64(t.layout.Allocs[i].Base)
 		}
 	}
 	out := make([]cpu.Stream, t.NumStreams())
@@ -234,29 +232,22 @@ type replayStream struct {
 }
 
 // NextBatch implements cpu.Stream.
+//
+//sdam:noalloc
 func (r *replayStream) NextBatch(buf []cpu.Ref) int {
-	n := r.end - r.pos
-	if n > len(buf) {
-		n = len(buf)
-	}
+	n := min(r.end-r.pos, len(buf))
 	if n <= 0 {
 		return 0
 	}
-	t := r.t
-	if r.delta == nil {
-		for k := 0; k < n; k++ {
-			i := r.pos + k
-			buf[k] = cpu.Ref{VA: vm.VA(t.va[i]), PC: t.pc[i], Write: t.isWrite(i)}
+	t, pos, delta := r.t, r.pos, r.delta
+	buf = buf[:n]
+	va, pc, alloc := t.va[pos:pos+n], t.pc[pos:pos+n], t.alloc[pos:pos+n]
+	for k := range buf {
+		v := va[k]
+		if delta != nil {
+			v += delta[alloc[k]]
 		}
-	} else {
-		for k := 0; k < n; k++ {
-			i := r.pos + k
-			va := t.va[i]
-			if s := t.slot[i]; s >= 0 {
-				va += r.delta[s]
-			}
-			buf[k] = cpu.Ref{VA: vm.VA(va), PC: t.pc[i], Write: t.isWrite(i)}
-		}
+		buf[k] = cpu.Ref{VA: vm.VA(v), PC: pc[k], Write: t.isWrite(pos + k), Alloc: alloc[k]}
 	}
 	r.pos += n
 	return n

@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -46,7 +48,22 @@ func drain(ss []cpu.Stream) [][]cpu.Ref {
 	return out
 }
 
-func sameRefs(t *testing.T, got, want [][]cpu.Ref) {
+// refereeAlloc is the independent attribution check: a linear search
+// of lay for the allocation holding va, returned as 1 + its slot, or 0
+// when va lies outside every allocation.
+func refereeAlloc(lay *Layout, va vm.VA) int32 {
+	for i, a := range lay.Allocs {
+		if va >= a.Base && uint64(va-a.Base) < a.Bytes {
+			return int32(i) + 1
+		}
+	}
+	return 0
+}
+
+// sameRefs checks replayed streams got against want reference by
+// reference: VA, PC and Write must match, and each Alloc must be what
+// refereeAlloc finds for the VA in lay, the replaying cell's layout.
+func sameRefs(t *testing.T, got, want [][]cpu.Ref, lay *Layout) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d streams, want %d", len(got), len(want))
@@ -55,9 +72,13 @@ func sameRefs(t *testing.T, got, want [][]cpu.Ref) {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("stream %d: %d refs, want %d", i, len(got[i]), len(want[i]))
 		}
-		for j := range got[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("stream %d ref %d: %+v, want %+v", i, j, got[i][j], want[i][j])
+		for j, g := range got[i] {
+			w := want[i][j]
+			if g.VA != w.VA || g.PC != w.PC || g.Write != w.Write {
+				t.Fatalf("stream %d ref %d: %+v, want %+v", i, j, g, w)
+			}
+			if a := refereeAlloc(lay, g.VA); g.Alloc != a {
+				t.Fatalf("stream %d ref %d at %#x: Alloc %d, the layout search finds %d", i, j, uint64(g.VA), g.Alloc, a)
 			}
 		}
 	}
@@ -86,7 +107,7 @@ func TestReplayMatchesLiveSameLayout(t *testing.T) {
 	if rs := ss[0].(*replayStream); rs.delta != nil {
 		t.Fatal("identical layout did not take the zero-copy path")
 	}
-	sameRefs(t, drain(ss), drain(fresh.Streams(42)))
+	sameRefs(t, drain(ss), drain(fresh.Streams(42)), &flay)
 }
 
 func TestReplayRebasesAcrossLayouts(t *testing.T) {
@@ -106,7 +127,7 @@ func TestReplayRebasesAcrossLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRefs(t, drain(ss), drain(fresh.Streams(7)))
+	sameRefs(t, drain(ss), drain(fresh.Streams(7)), &flay)
 }
 
 // TestReplayRejectsIncompatibleLayout: replay refuses a layout with a
@@ -132,6 +153,83 @@ func TestReplayRejectsIncompatibleLayout(t *testing.T) {
 		site, lay.Allocs[1].Bytes/2, site, lay.Allocs[1].Bytes)
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not contain %q", err, want)
+	}
+}
+
+// TestReplayAttributesEveryBuiltinWorkload: for every built-in kernel
+// and Table 1 proxy, replay on both the zero-copy and the rebased path
+// reproduces the live stream and carries, on every reference, the
+// allocation slot a plain search of the cell's layout finds.
+func TestReplayAttributesEveryBuiltinWorkload(t *testing.T) {
+	ao := apps.Options{MaxRefs: 4_000, Threads: 2}
+	ws := []workload.Workload{
+		apps.NewBFS(ao), apps.NewPageRank(ao), apps.NewSSSP(ao),
+		apps.NewHashJoin(ao), apps.NewMergeJoin(ao), apps.NewKMeansApp(ao),
+		apps.NewHNSW(ao), apps.NewIVFPQ(ao), apps.NewTranspose(ao), apps.NewStencil(ao),
+	}
+	for _, tg := range workload.Table1Targets {
+		ws = append(ws, workload.NewProxy(tg, workload.ProxyOptions{Threads: 2, Refs: 4_000}))
+	}
+	for _, w := range ws {
+		lay, _ := setup(t, w, 0)
+		tp := Record(w.Streams(3), lay)
+		if !tp.Rebasable() {
+			t.Fatalf("%s: tape not rebasable", w.Name())
+		}
+		for _, pad := range []uint64{0, 3 * geom.PageBytes} {
+			fresh := w.Clone()
+			flay, _ := setup(t, fresh, pad)
+			ss, err := tp.Streams(&flay)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name(), err)
+			}
+			if rebased := ss[0].(*replayStream).delta != nil; rebased != (pad > 0) {
+				t.Fatalf("%s pad %d: rebased = %v", w.Name(), pad, rebased)
+			}
+			sameRefs(t, drain(ss), drain(fresh.Streams(3)), &flay)
+		}
+	}
+}
+
+// TestStrayReferencesReplayOnlyInPlace: a tape with a reference outside
+// every allocation replays under the identical layout, where that
+// reference carries Alloc 0 and a collector counts it unattributed,
+// and is refused under a layout whose bases moved.
+func TestStrayReferencesReplayOnlyInPlace(t *testing.T) {
+	w := testWorkload()
+	lay, _ := setup(t, w, 0)
+	base := lay.Allocs[1].Base
+	const stray = vm.VA(0x40)
+	refs := []cpu.Ref{{VA: base, PC: 1}, {VA: stray, PC: 2, Write: true}, {VA: base + 64, PC: 3}}
+	if refereeAlloc(&lay, stray) != 0 {
+		t.Fatal("stray address lies inside an allocation; test is vacuous")
+	}
+	tp := Record([]cpu.Stream{&cpu.SliceStream{Refs: append([]cpu.Ref(nil), refs...)}}, lay)
+	if tp.Rebasable() {
+		t.Fatal("tape with a stray reference reported rebasable")
+	}
+
+	flay, _ := setup(t, w.Clone(), 0)
+	ss, err := tp.Streams(&flay)
+	if err != nil {
+		t.Fatalf("identical layout refused: %v", err)
+	}
+	got := drain(ss)
+	sameRefs(t, got, [][]cpu.Ref{refs}, &flay)
+	col := trace.NewCollector(0)
+	for _, a := range flay.Allocs {
+		col.NoteAlloc(a.Site, a.Bytes)
+	}
+	for i, r := range got[0] {
+		col.Record(r.Alloc, geom.LineAddr(i))
+	}
+	if col.Unattributed != 1 || col.TotalRefs() != 2 {
+		t.Fatalf("unattributed %d, attributed %d; want 1 and 2", col.Unattributed, col.TotalRefs())
+	}
+
+	moved, _ := setup(t, w.Clone(), 3*geom.PageBytes)
+	if _, err := tp.Streams(&moved); err == nil || !strings.Contains(err.Error(), "outside its allocations") {
+		t.Fatalf("moved layout: err = %v, want a refusal naming the stray references", err)
 	}
 }
 
@@ -163,7 +261,7 @@ func TestCacheSingleflight(t *testing.T) {
 	if !flay.sameBases(&rlay) {
 		t.Fatal("reference clone landed at different bases; test is vacuous")
 	}
-	sameRefs(t, second, drain(ref.Streams(5)))
+	sameRefs(t, second, drain(ref.Streams(5)), &flay)
 	if len(first[0]) != len(second[0]) {
 		t.Fatal("cells disagree on stream length")
 	}
@@ -214,6 +312,7 @@ func TestConcurrentCellsShareOneTape(t *testing.T) {
 
 	const cells = 8
 	got := make([][][]cpu.Ref, cells)
+	lays := make([]Layout, cells)
 	errs := make([]error, cells)
 	var wg sync.WaitGroup
 	for c := 0; c < cells; c++ {
@@ -222,13 +321,12 @@ func TestConcurrentCellsShareOneTape(t *testing.T) {
 			defer wg.Done()
 			cw := w.Clone()
 			as := vm.NewKernel(geom.Default().Chunks()).NewAddressSpace()
-			var clay Layout
-			env := &workload.Env{AS: as, Heap: heap.New(as), OnAlloc: clay.Note}
+			env := &workload.Env{AS: as, Heap: heap.New(as), OnAlloc: lays[c].Note}
 			if errs[c] = cw.Setup(env); errs[c] != nil {
 				return
 			}
 			var ss []cpu.Stream
-			if ss, errs[c] = StreamsFor(cw, 11, &clay); errs[c] != nil {
+			if ss, errs[c] = StreamsFor(cw, 11, &lays[c]); errs[c] != nil {
 				return
 			}
 			got[c] = drain(ss)
@@ -241,7 +339,7 @@ func TestConcurrentCellsShareOneTape(t *testing.T) {
 		}
 	}
 	for c := 0; c < cells; c++ {
-		sameRefs(t, got[c], want)
+		sameRefs(t, got[c], want, &lays[c])
 	}
 	s := CacheStats()
 	if s.Builds != 1 {

@@ -4,6 +4,12 @@
 // the call-stack-matching step of the paper — and accumulates the
 // per-variable statistics the mapping-selection machinery consumes.
 //
+// Attribution is by allocation slot, not by address. The reference tape
+// (internal/tape) already knows which allocation each reference fell in
+// and replays it as cpu.Ref.Alloc; the collector is told the run's
+// allocations in order (NoteAlloc) and maps slot → variable with one
+// table index per access.
+//
 // Variables follow the paper's definition (after Ji et al.): a variable
 // is the reference symbol for a piece of allocated memory, identified by
 // its allocation call stack. All blocks allocated from one site belong
@@ -15,33 +21,21 @@
 package trace
 
 import (
-	"fmt"
 	"math/bits"
-	"sort"
 	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/mapping"
-	"repro/internal/vm"
 )
-
-// Access is one external (post-cache) memory access.
-type Access struct {
-	Time float64       // issue time, ns
-	PC   uint64        // program counter of the reference
-	VA   vm.VA         // virtual address
-	PA   geom.LineAddr // physical line address after translation
-}
 
 // Variable aggregates everything known about one allocation site.
 type Variable struct {
 	VID  int
 	Site string
-	// LiveBytes / PeakBytes track the footprint; Refs counts external
-	// accesses attributed to the variable.
-	LiveBytes uint64
-	PeakBytes uint64
-	Refs      uint64
+	// Bytes sums the site's allocations; Refs counts external accesses
+	// attributed to the variable.
+	Bytes uint64
+	Refs  uint64
 
 	// Online BFRV state: flip counts between consecutive accesses to
 	// this variable plus the previous offset observed.
@@ -71,11 +65,6 @@ func (v *Variable) BFRV() mapping.BFRV {
 	return out
 }
 
-type interval struct {
-	start, end vm.VA
-	vid        int
-}
-
 // DeltaSample is one element of the DL training sequence: the XOR of two
 // consecutive physical line addresses and the variable of the latter
 // access (paper Fig 9's (Δ, VID) input pairs).
@@ -86,11 +75,11 @@ type DeltaSample struct {
 
 // Collector observes allocations and accesses for one process.
 type Collector struct {
-	siteVID   map[string]int
-	vars      []*Variable
-	intervals []interval // sorted by start (lazily), non-overlapping
-	dirty     bool       // intervals need re-sorting before lookup
-	allocs    map[vm.VA]interval
+	siteVID map[string]int
+	vars    []*Variable
+	// slotVar[s] is the variable of allocation slot s, in the order
+	// NoteAlloc saw them — what Record's alloc argument indexes.
+	slotVar []*Variable
 
 	// Global delta sequence (bounded) for DL training.
 	deltas    []DeltaSample
@@ -98,7 +87,7 @@ type Collector struct {
 	prevPA    geom.LineAddr
 	prevSet   bool
 
-	// Unattributed counts accesses that matched no live allocation
+	// Unattributed counts accesses that fell outside every allocation
 	// (stack/globals in a real system).
 	Unattributed uint64
 
@@ -117,7 +106,6 @@ func NewCollector(maxDeltas int) *Collector {
 	}
 	return &Collector{
 		siteVID:   make(map[string]int),
-		allocs:    make(map[vm.VA]interval),
 		maxDeltas: maxDeltas,
 	}
 }
@@ -134,64 +122,21 @@ func (c *Collector) VIDOf(site string) int {
 	return vid
 }
 
-// NoteAlloc records that [va, va+size) now belongs to site's variable.
-// Insertion is O(1); the interval index is (re)sorted lazily on the next
-// lookup, so registering tens of thousands of variables stays cheap.
-func (c *Collector) NoteAlloc(site string, va vm.VA, size uint64) {
-	vid := c.VIDOf(site)
-	iv := interval{start: va, end: va + vm.VA(size), vid: vid}
-	c.intervals = append(c.intervals, iv)
-	c.dirty = true
-	c.allocs[va] = iv
-	v := c.vars[vid]
-	v.LiveBytes += size
-	if v.LiveBytes > v.PeakBytes {
-		v.PeakBytes = v.LiveBytes
-	}
+// NoteAlloc assigns the run's next allocation slot to site's variable.
+// Call it once per allocation in the run's allocation order, so the
+// s-th call describes slot s.
+func (c *Collector) NoteAlloc(site string, bytes uint64) {
+	v := c.vars[c.VIDOf(site)]
+	v.Bytes += bytes
+	c.slotVar = append(c.slotVar, v)
 }
 
-func (c *Collector) ensureSorted() {
-	if !c.dirty {
-		return
-	}
-	sort.Slice(c.intervals, func(i, j int) bool { return c.intervals[i].start < c.intervals[j].start })
-	c.dirty = false
-}
-
-// NoteFree records deallocation of the block at va.
-func (c *Collector) NoteFree(va vm.VA) error {
-	iv, ok := c.allocs[va]
-	if !ok {
-		return fmt.Errorf("trace: free of untracked block %#x", uint64(va))
-	}
-	delete(c.allocs, va)
-	c.ensureSorted()
-	i := sort.Search(len(c.intervals), func(i int) bool { return c.intervals[i].start >= iv.start })
-	for i < len(c.intervals) && c.intervals[i].start == iv.start {
-		if c.intervals[i].end == iv.end && c.intervals[i].vid == iv.vid {
-			c.intervals = append(c.intervals[:i], c.intervals[i+1:]...)
-			break
-		}
-		i++
-	}
-	c.vars[iv.vid].LiveBytes -= uint64(iv.end - iv.start)
-	return nil
-}
-
-// Attribute finds the variable owning va, or -1.
-func (c *Collector) Attribute(va vm.VA) int {
-	c.ensureSorted()
-	i := sort.Search(len(c.intervals), func(i int) bool { return c.intervals[i].end > va })
-	if i < len(c.intervals) && c.intervals[i].start <= va {
-		return c.intervals[i].vid
-	}
-	return -1
-}
-
-// Record attributes one access and folds it into the statistics.
-func (c *Collector) Record(a Access) {
+// Record folds one external access into the statistics: alloc is the
+// reference's cpu.Ref.Alloc (1 + its allocation slot, 0 for none) and
+// pa the physical line it reached.
+func (c *Collector) Record(alloc int32, pa geom.LineAddr) {
 	if c.prevSet {
-		diff := c.prevPA.Offset() ^ a.PA.Offset()
+		diff := c.prevPA.Offset() ^ pa.Offset()
 		for diff != 0 {
 			b := bits.TrailingZeros32(diff)
 			c.globalFlips[b]++
@@ -200,15 +145,14 @@ func (c *Collector) Record(a Access) {
 	}
 	c.globalCount++
 
-	vid := c.Attribute(a.VA)
-	if vid < 0 {
+	if alloc == 0 {
 		c.Unattributed++
-		c.prevPA = a.PA
+		c.prevPA = pa
 		c.prevSet = true
 		return
 	}
-	v := c.vars[vid]
-	off := a.PA.Offset()
+	v := c.slotVar[alloc-1]
+	off := pa.Offset()
 	if v.started {
 		diff := v.prevOff ^ off
 		for diff != 0 {
@@ -226,11 +170,11 @@ func (c *Collector) Record(a Access) {
 
 	if c.prevSet && len(c.deltas) < c.maxDeltas {
 		c.deltas = append(c.deltas, DeltaSample{
-			Delta: uint32(c.prevPA^a.PA) & (1<<geom.OffsetBits - 1),
-			VID:   vid,
+			Delta: uint32(c.prevPA^pa) & (1<<geom.OffsetBits - 1),
+			VID:   v.VID,
 		})
 	}
-	c.prevPA = a.PA
+	c.prevPA = pa
 	c.prevSet = true
 }
 
@@ -241,7 +185,7 @@ func (c *Collector) Variables() []*Variable { return c.vars }
 func (c *Collector) Deltas() []DeltaSample { return c.deltas }
 
 // Bytes estimates the heap the collector retains: the delta sequence
-// plus each variable's record and offset sample. The interval and site
+// plus each variable's record and offset sample. The slot and site
 // tables are small next to those and are left out.
 func (c *Collector) Bytes() int64 {
 	n := int64(cap(c.deltas)) * int64(unsafe.Sizeof(DeltaSample{}))

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/vm"
 )
 
 func TestVIDStablePerSite(t *testing.T) {
@@ -22,54 +21,12 @@ func TestVIDStablePerSite(t *testing.T) {
 	}
 }
 
-func TestAttributeIntervalLookup(t *testing.T) {
-	c := NewCollector(0)
-	c.NoteAlloc("a", 0x1000, 0x100)
-	c.NoteAlloc("b", 0x3000, 0x100)
-	c.NoteAlloc("a", 0x2000, 0x100) // same variable, second block
-
-	cases := []struct {
-		va   vm.VA
-		want string
-	}{
-		{0x1000, "a"}, {0x10ff, "a"}, {0x2000, "a"}, {0x3050, "b"},
-	}
-	for _, tc := range cases {
-		vid := c.Attribute(tc.va)
-		if vid < 0 || c.Variables()[vid].Site != tc.want {
-			t.Errorf("Attribute(%#x) = %d, want site %q", uint64(tc.va), vid, tc.want)
-		}
-	}
-	for _, va := range []vm.VA{0xfff, 0x1100, 0x2abc, 0x4000} {
-		if vid := c.Attribute(va); vid >= 0 {
-			t.Errorf("Attribute(%#x) = %d, want -1", uint64(va), vid)
-		}
-	}
-}
-
-func TestFreeStopsAttribution(t *testing.T) {
-	c := NewCollector(0)
-	c.NoteAlloc("a", 0x1000, 0x100)
-	if err := c.NoteFree(0x1000); err != nil {
-		t.Fatal(err)
-	}
-	if vid := c.Attribute(0x1000); vid >= 0 {
-		t.Fatal("freed block still attributed")
-	}
-	if err := c.NoteFree(0x1000); err == nil {
-		t.Fatal("double free accepted")
-	}
-	if v := c.Variables()[0]; v.LiveBytes != 0 || v.PeakBytes != 0x100 {
-		t.Fatalf("live=%d peak=%d", v.LiveBytes, v.PeakBytes)
-	}
-}
-
 func TestRecordBuildsOnlineBFRV(t *testing.T) {
 	c := NewCollector(0)
-	c.NoteAlloc("streamvar", 0x10000, 1<<20)
+	c.NoteAlloc("streamvar", 1<<20)
 	// Stream at stride 1 line within the variable.
 	for i := 0; i < 1024; i++ {
-		c.Record(Access{VA: 0x10000 + vm.VA(i*geom.LineBytes), PA: geom.LineAddr(i)})
+		c.Record(1, geom.LineAddr(i))
 	}
 	v := c.Variables()[0]
 	if v.Refs != 1024 {
@@ -86,7 +43,8 @@ func TestRecordBuildsOnlineBFRV(t *testing.T) {
 
 func TestRecordUnattributed(t *testing.T) {
 	c := NewCollector(0)
-	c.Record(Access{VA: 0xdead, PA: 1})
+	c.NoteAlloc("v", 1<<20)
+	c.Record(0, 1)
 	if c.Unattributed != 1 {
 		t.Fatalf("Unattributed = %d", c.Unattributed)
 	}
@@ -97,9 +55,9 @@ func TestRecordUnattributed(t *testing.T) {
 
 func TestDeltaSequenceBounded(t *testing.T) {
 	c := NewCollector(8)
-	c.NoteAlloc("v", 0, 1<<20)
+	c.NoteAlloc("v", 1<<20)
 	for i := 0; i < 100; i++ {
-		c.Record(Access{VA: vm.VA(i * geom.LineBytes), PA: geom.LineAddr(i)})
+		c.Record(1, geom.LineAddr(i))
 	}
 	d := c.Deltas()
 	if len(d) != 8 {
@@ -111,19 +69,32 @@ func TestDeltaSequenceBounded(t *testing.T) {
 	}
 }
 
-func TestPeakTracksHighWaterMark(t *testing.T) {
+// TestSlotsOfOneSiteShareAVariable: NoteAlloc gives every allocation a
+// slot in call order; slots of one site attribute to that site's one
+// variable, whose Bytes sums its allocations.
+func TestSlotsOfOneSiteShareAVariable(t *testing.T) {
 	c := NewCollector(0)
-	c.NoteAlloc("v", 0x1000, 100)
-	c.NoteAlloc("v", 0x2000, 200)
-	if err := c.NoteFree(0x1000); err != nil {
-		t.Fatal(err)
+	c.NoteAlloc("a", 0x100) // slot 0
+	c.NoteAlloc("b", 0x300) // slot 1
+	c.NoteAlloc("a", 0x200) // slot 2: same variable, second block
+	vars := c.Variables()
+	if len(vars) != 2 {
+		t.Fatalf("variables = %d, want 2", len(vars))
 	}
-	c.NoteAlloc("v", 0x3000, 50)
-	v := c.Variables()[0]
-	if v.PeakBytes != 300 {
-		t.Fatalf("peak = %d, want 300", v.PeakBytes)
+	if a, b := vars[0], vars[1]; a.Site != "a" || a.Bytes != 0x300 || b.Site != "b" || b.Bytes != 0x300 {
+		t.Fatalf("variables = %+v, %+v", *a, *b)
 	}
-	if v.LiveBytes != 250 {
-		t.Fatalf("live = %d, want 250", v.LiveBytes)
+	for _, tc := range []struct {
+		alloc int32
+		vid   int
+	}{{1, 0}, {2, 1}, {3, 0}, {3, 0}} {
+		before := vars[tc.vid].Refs
+		c.Record(tc.alloc, geom.LineAddr(tc.alloc))
+		if vars[tc.vid].Refs != before+1 {
+			t.Fatalf("Record(%d, _) not attributed to site %q", tc.alloc, vars[tc.vid].Site)
+		}
+	}
+	if vars[0].Refs != 3 || vars[1].Refs != 1 || c.Unattributed != 0 {
+		t.Fatalf("refs a=%d b=%d unattributed=%d, want 3, 1, 0", vars[0].Refs, vars[1].Refs, c.Unattributed)
 	}
 }

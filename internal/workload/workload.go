@@ -20,7 +20,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -32,13 +31,11 @@ type Env struct {
 	// site, return the mapping ID to malloc with. The baseline systems
 	// return 0 everywhere; the SDAM configurations consult a Selection.
 	MapIDFor func(site string) int
-	// Collector, when non-nil, is told about allocations so accesses can
-	// be attributed to variables.
-	Collector *trace.Collector
 	// OnAlloc, when non-nil, observes every allocation in program order —
 	// the hook the reference-tape layer uses to capture a run's VM layout
 	// (allocation site, base address, and size) so recorded reference
-	// streams can be rebased onto another run's layout.
+	// streams can be rebased onto another run's layout, and the one
+	// allocation record the profiling collector is fed from.
 	OnAlloc func(site string, va vm.VA, bytes uint64)
 }
 
@@ -50,15 +47,12 @@ func (e *Env) mapIDFor(site string) int {
 	return e.MapIDFor(site)
 }
 
-// Alloc allocates one variable through the policy and registers it with
-// the collector.
+// Alloc allocates one variable through the policy and reports it to
+// OnAlloc.
 func (e *Env) Alloc(site string, bytes uint64) (vm.VA, error) {
 	va, err := e.Heap.Malloc(bytes, e.mapIDFor(site), site)
 	if err != nil {
 		return 0, fmt.Errorf("workload: allocating %q: %w", site, err)
-	}
-	if e.Collector != nil {
-		e.Collector.NoteAlloc(site, va, bytes)
 	}
 	if e.OnAlloc != nil {
 		e.OnAlloc(site, va, bytes)

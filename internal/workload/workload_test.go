@@ -6,7 +6,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -14,11 +13,7 @@ func newEnv(t *testing.T) *Env {
 	t.Helper()
 	k := vm.NewKernel(geom.Default().Chunks())
 	as := k.NewAddressSpace()
-	return &Env{
-		AS:        as,
-		Heap:      heap.New(as),
-		Collector: trace.NewCollector(0),
-	}
+	return &Env{AS: as, Heap: heap.New(as)}
 }
 
 // refsOf drains s in engine-sized batches.
